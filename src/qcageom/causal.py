@@ -213,8 +213,7 @@ def build_poset(trace: RunTrace) -> CausalPoset:
         if len(targeted) != len(layer.gates):
             raise ValueError(f"layer {layer.index} targets a site twice")
         for rec in layer.gates:
-            kind = "rule" if rec.kind == "rule" else rec.kind
-            gate = Gate(rec.target, layer.index, kind)
+            gate = Gate(rec.target, layer.index, rec.kind)
             nodes.append(gate)
             for site in (rec.target, *rec.controls):
                 covers.append((Wire(site, layer.index - 1), gate))

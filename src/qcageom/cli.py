@@ -81,16 +81,22 @@ def _field_labels(config: qca.QcaConfig, include_boundary: bool):
     return config.labels if include_boundary else config.register_sites
 
 
+def _snapshot_field(trace: qca.RunTrace, idx: int, state, pairs: str,
+                    include_boundary: bool) -> infogeo.DistanceField:
+    return infogeo.distance_field(
+        state, pairs=pairs, include_boundary=include_boundary,
+        boundary_labels=trace.config.boundary_labels, time_step=idx,
+    )
+
+
 def _write_distance_outputs(out: _Outputs, trace: qca.RunTrace, pairs: str,
-                            include_boundary: bool, pgm: bool) -> None:
-    config = trace.config
-    labels = _field_labels(config, include_boundary)
-    nn_rows = []
+                            include_boundary: bool, pgm: bool) -> list[infogeo.DistanceField]:
+    """Write one distance CSV per snapshot; return the fields."""
+    labels = _field_labels(trace.config, include_boundary)
+    fields, nn_rows = [], []
     for idx, state in trace.snapshots:
-        field = infogeo.distance_field(
-            state, pairs=pairs, include_boundary=include_boundary,
-            boundary_labels=config.boundary_labels, time_step=idx,
-        )
+        field = _snapshot_field(trace, idx, state, pairs, include_boundary)
+        fields.append(field)
         out.write_text(f"distance_step_{idx:04d}.csv", exports.distance_field_csv(field))
         if pairs == "nearest_neighbor":
             nn_rows.append((idx, [field.value(a, b) for a, b in zip(labels, labels[1:])]))
@@ -99,6 +105,7 @@ def _write_distance_outputs(out: _Outputs, trace: qca.RunTrace, pairs: str,
         out.write_text("nn_distance.csv", text)
         if pgm:
             out.write_pgm("nn_distance.pgm", np.array([r for _, r in nn_rows]))
+    return fields
 
 
 def _write_occupation(out: _Outputs, trace: qca.RunTrace, pgm: bool) -> None:
@@ -123,22 +130,15 @@ def _write_entropies(out: _Outputs, trace: qca.RunTrace, pgm: bool) -> None:
         out.write_pgm("entropy.pgm", np.array([r for _, r in rows]))
 
 
-def _write_block_reports(out: _Outputs, trace: qca.RunTrace, seed_site: int) -> None:
-    reports = []
-    for idx, state in trace.snapshots:
-        field = infogeo.distance_field(
-            state, pairs="all_pairs", include_boundary=False,
-            boundary_labels=trace.config.boundary_labels, time_step=idx,
-        )
-        rep = infogeo.block_structure_report(field, seed_site=seed_site)
-        reports.append({
-            "layer": idx,
-            "regions": [list(r) for r in rep.regions],
-            "pattern_holds": rep.pattern_holds,
-            "cross_min": rep.cross_min,
-            "note": rep.note,
-        })
-    out.write_json("block_report.json", reports)
+def _block_report_obj(field: infogeo.DistanceField, seed_site: int | None) -> dict:
+    rep = infogeo.block_structure_report(field, seed_site=seed_site)
+    return {
+        "layer": field.time_step,
+        "regions": [list(r) for r in rep.regions],
+        "pattern_holds": rep.pattern_holds,
+        "cross_min": rep.cross_min,
+        "note": rep.note,
+    }
 
 
 def _maybe_save_trace(out: _Outputs, trace: qca.RunTrace, args) -> None:
@@ -166,8 +166,12 @@ def _cmd_run(args, out: _Outputs) -> int:
         trace, fid = qca.ghz_experiment(args.n_sites)
         seed = args.n_sites // 2 if args.n_sites % 4 == 0 else args.n_sites // 2 + 1
         _write_occupation(out, trace, args.pgm)
-        _write_distance_outputs(out, trace, args.pairs, args.include_boundary, args.pgm)
-        _write_block_reports(out, trace, seed)
+        fields = _write_distance_outputs(out, trace, args.pairs, args.include_boundary, args.pgm)
+        if args.pairs != "all_pairs" or args.include_boundary:
+            # The block reports need register-only all-pairs fields.
+            fields = [_snapshot_field(trace, idx, state, "all_pairs", False)
+                      for idx, state in trace.snapshots]
+        out.write_json("block_report.json", [_block_report_obj(f, seed) for f in fields])
         _maybe_save_trace(out, trace, args)
         if fid < 1.0 - GHZ_FIDELITY_TOL:
             raise InvariantError(f"GHZ fidelity {fid!r} below 1 - 1e-9")
@@ -256,21 +260,12 @@ def _cmd_distance_matrix(args, out: _Outputs) -> int:
         raise ValueError(
             f"step {args.step} out of range (trace has {len(trace.snapshots)} snapshots)"
         ) from None
-    field = infogeo.distance_field(
-        state, pairs="all_pairs", include_boundary=args.include_boundary,
-        boundary_labels=trace.config.boundary_labels, time_step=idx,
-    )
+    field = _snapshot_field(trace, idx, state, "all_pairs", args.include_boundary)
     out.write_text("distance_matrix.csv", exports.distance_field_csv(field))
     out.write_json("distance_matrix.json", exports.distance_field_json_obj(field))
-    rep = infogeo.block_structure_report(field, seed_site=args.seed_site)
-    out.write_json("block_report.json", {
-        "layer": idx,
-        "regions": [list(r) for r in rep.regions],
-        "pattern_holds": rep.pattern_holds,
-        "cross_min": rep.cross_min,
-        "note": rep.note,
-    })
-    print(rep.note)
+    report = _block_report_obj(field, args.seed_site)
+    out.write_json("block_report.json", report)
+    print(report["note"])
     return 0
 
 

@@ -21,6 +21,7 @@ from .statealg import (
     DensityMatrix,
     StateVector,
     partial_trace,
+    spectral_entropy,
     von_neumann_entropy,
 )
 
@@ -63,10 +64,51 @@ def mutual_information(joint: DensityMatrix, part_a: Iterable[int], part_b: Iter
     return _reduced_entropy(joint, a) + _reduced_entropy(joint, b) - _reduced_entropy(joint, a | b)
 
 
+def _reduced_entropies(state: StateVector, groups: Sequence[tuple[int, ...]]) -> np.ndarray:
+    """Entropy in bits of `state` reduced to each label group.
+
+    Each reduced state costs one transpose of the amplitudes and one
+    m @ m^H, with kept labels in register order as in `partial_trace`.
+    Only the small reduced states are stacked, one stack and one eigvalsh
+    per group size.  The state is already validated and m @ m^H is
+    Hermitian with unit trace, so only the sign of the spectrum is checked.
+    The transposed amplitudes and their conjugate go to two buffers reused
+    for every group: a fresh 2^n array per group cost more than the copy.
+    """
+    n = state.n_qubits
+    psi = state.amplitudes.reshape((2,) * n)
+    moved, conj = np.empty_like(psi), np.empty(psi.size, dtype=complex)
+    rdms, by_size = [], {}
+    for i, group in enumerate(groups):
+        keep = sorted(state.position(lab) for lab in group)
+        np.copyto(moved, np.transpose(psi, keep + [p for p in range(n) if p not in keep]))
+        m = moved.reshape(1 << len(keep), -1)
+        rdms.append(m @ np.conjugate(m, out=conj.reshape(m.shape)).T)
+        by_size.setdefault(len(keep), []).append(i)
+    out = np.empty(len(rdms))
+    for idx in by_size.values():
+        out[idx] = spectral_entropy(np.linalg.eigvalsh(np.stack([rdms[i] for i in idx])))
+    return out
+
+
+def _two_qubit_distances(rho: np.ndarray) -> np.ndarray:
+    """delta between the two qubits of each 4x4 density matrix in a stack.
+
+    The marginals are traced out of the 4x4 matrices, as `info_distance`
+    does for one matrix.
+    """
+    r = rho.reshape(-1, 2, 2, 2, 2)
+    s_ab, s_a, s_b = (
+        spectral_entropy(np.linalg.eigvalsh(m))
+        for m in (rho, np.einsum("katbt->kab", r), np.einsum("ktatb->kab", r))
+    )
+    return 2.0 * s_ab - s_a - s_b
+
+
 def site_entropies(state: StateVector, labels: Sequence[int] | None = None) -> dict[int, float]:
     """Single-qubit reduced entropies S(q_i), in bits."""
     labels = tuple(labels) if labels is not None else state.labels
-    return {lab: von_neumann_entropy(partial_trace(state, {lab})) for lab in labels}
+    return dict(zip(labels, map(float, _reduced_entropies(state, [(lab,) for lab in labels]))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,9 +188,11 @@ def distance_field(
     values = np.full((len(labels), len(labels)), UNCOMPUTED)
     np.fill_diagonal(values, 0.0)
     index = {lab: i for i, lab in enumerate(labels)}
-    for a, b in _select_pairs(labels, pairs):
-        joint = partial_trace(state, {a, b})
-        d = info_distance(joint, {a}, {b})
+    chosen = _select_pairs(labels, pairs)
+    sites = list(dict.fromkeys(lab for pair in chosen for lab in pair))
+    s_site = dict(zip(sites, _reduced_entropies(state, [(lab,) for lab in sites])))
+    for (a, b), s_ab in zip(chosen, _reduced_entropies(state, chosen)):
+        d = 2.0 * s_ab - s_site[a] - s_site[b]
         values[index[a], index[b]] = d
         values[index[b], index[a]] = d
     return DistanceField(time_step=time_step, labels=labels, values=values)
@@ -252,12 +296,17 @@ class SweepCurve:
 _BELL_PLUS = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
 
 
+def _werner_matrices(z: np.ndarray) -> np.ndarray:
+    """(1-z) I/4 + z |b+><b+| for each z of a 1-D array, as a (len(z), 4, 4) stack."""
+    if not np.all((0.0 <= z) & (z <= 1.0)):
+        raise ValueError("z must lie in [0, 1]")
+    z = z[:, None, None]
+    return (1.0 - z) * np.eye(4, dtype=complex) / 4.0 + z * np.outer(_BELL_PLUS, _BELL_PLUS.conj())
+
+
 def werner_state(z: float) -> DensityMatrix:
     """(1-z) I/4 + z |b+><b+| on labels (0, 1)."""
-    if not 0.0 <= z <= 1.0:
-        raise ValueError("z must lie in [0, 1]")
-    rho = (1.0 - z) * np.eye(4, dtype=complex) / 4.0 + z * np.outer(_BELL_PLUS, _BELL_PLUS.conj())
-    return DensityMatrix(rho, (0, 1))
+    return DensityMatrix(_werner_matrices(np.array([z], dtype=float))[0], (0, 1))
 
 
 def pure_family_state(z: float) -> StateVector:
@@ -276,17 +325,15 @@ def pure_family_state(z: float) -> StateVector:
 def werner_sweep(grid: Iterable[float]) -> SweepCurve:
     """delta(z) for the Werner family; +2 at z=0, -2 at z=1."""
     grid = tuple(grid)
-    vals = [info_distance(werner_state(z), {0}, {1}) for z in grid]
+    vals = _two_qubit_distances(_werner_matrices(np.array(grid, dtype=float)))
     return SweepCurve(grid=grid, values=tuple(vals))
 
 
 def pure_family_sweep(grid: Iterable[float]) -> SweepCurve:
     """delta(z) for the normalized pure family; 0 at z=0, negative beyond."""
     grid = tuple(grid)
-    vals = []
-    for z in grid:
-        state = pure_family_state(z)
-        vals.append(info_distance(partial_trace(state, {0, 1}), {0}, {1}))
+    amps = np.array([pure_family_state(z).amplitudes for z in grid]).reshape(-1, 4, 1)
+    vals = _two_qubit_distances(amps @ amps.conj().transpose(0, 2, 1))
     return SweepCurve(grid=grid, values=tuple(vals))
 
 

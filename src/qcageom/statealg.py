@@ -14,7 +14,6 @@ functions, so they are safe to share between threads.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -246,19 +245,23 @@ def hermitian_eigenvalues(m: np.ndarray) -> list[float]:
     return [float(v) for v in vals[::-1]]
 
 
-def _entropy_from_eigenvalues(vals: Iterable[float]) -> float:
-    s = 0.0
-    for lam in vals:
-        if lam < -ATOL:
-            raise InvariantError(f"eigenvalue {lam!r} below -1e-10 in entropy")
-        if lam > ENTROPY_FLOOR:
-            s -= lam * math.log2(lam)
-    return max(s, 0.0)
+def spectral_entropy(eigenvalues) -> np.ndarray:
+    """Entropy -sum(lambda log2 lambda) in bits of each spectrum along the last axis.
+
+    Eigenvalues up to ENTROPY_FLOOR count as exact zeros, one below -ATOL
+    raises InvariantError, and results are clipped at 0.
+    """
+    vals = np.asarray(eigenvalues, dtype=float)
+    if vals.size and vals.min() < -ATOL:
+        raise InvariantError(f"eigenvalue {float(vals.min())!r} below -1e-10 in entropy")
+    kept = np.where(vals > ENTROPY_FLOOR, vals, 1.0)  # 1 log2 1 = 0
+    # 0.0 - sum, not -sum, so that a zero entropy is +0.0
+    return np.maximum(0.0 - (kept * np.log2(kept)).sum(axis=-1), 0.0)
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """Entropy -sum(lambda log2 lambda) in bits; tiny eigenvalues count as 0."""
-    return _entropy_from_eigenvalues(np.linalg.eigvalsh(rho.matrix))
+    return float(spectral_entropy(np.linalg.eigvalsh(rho.matrix)))
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:

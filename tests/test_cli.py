@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from qcageom import exports
+from qcageom import exports, infogeo
 from qcageom.cli import main, parse_qubit_literal
 
 
@@ -80,6 +80,23 @@ class TestRunGhz:
         by_layer = {r["layer"]: r for r in reports}
         assert by_layer[2]["pattern_holds"]
         assert sorted(by_layer[2]["regions"][0]) == [2, 3, 4, 5, 6]
+
+    def test_all_pairs_fields_built_once(self, tmp_path, monkeypatch):
+        calls, real = [], infogeo.distance_field
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("time_step"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(infogeo, "distance_field", counting)
+        run_cli("run", "--experiment", "ghz", "--n-sites", 8, "--pairs", "all_pairs",
+                "--out", tmp_path / "all")
+        trace = exports.load_trace(tmp_path / "all" / "trace.json")
+        assert sorted(calls) == [idx for idx, _ in trace.snapshots]
+        monkeypatch.undo()
+        run_cli("run", "--experiment", "ghz", "--n-sites", 8, "--out", tmp_path / "nn")
+        assert (tmp_path / "all" / "block_report.json").read_bytes() == \
+            (tmp_path / "nn" / "block_report.json").read_bytes()
 
     def test_determinism_byte_identical(self, tmp_path):
         run_cli("run", "--experiment", "ghz", "--n-sites", 8, "--pgm",

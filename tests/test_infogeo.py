@@ -21,12 +21,15 @@ from qcageom.infogeo import (
 )
 from qcageom.statealg import (
     DensityMatrix,
+    InvariantError,
     StateVector,
     basis_state,
     partial_trace,
     ppt_separable_2q,
     pure_density,
+    spectral_entropy,
     tensor,
+    von_neumann_entropy,
 )
 
 RNG = np.random.default_rng(7)
@@ -169,6 +172,55 @@ class TestDistanceField:
             DistanceField(0, (0, 1), np.array([[0.0, 1.0], [2.0, 0.0]]))
         with pytest.raises(ValueError):
             DistanceField(0, (0, 1), np.array([[0.5, 1.0], [1.0, 0.0]]))
+
+
+class TestBatchedKernel:
+    """The batched reduced-state pass against the per-pair reference path."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("include_boundary", [False, True])
+    def test_matches_per_pair_reference(self, n, include_boundary):
+        rng = np.random.default_rng(100 + n)
+        labels = tuple(int(x) for x in rng.permutation(np.arange(10, 10 + 3 * n, 3)))
+        amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        state = StateVector(amps / np.linalg.norm(amps), labels)
+        boundary = (labels[-1],)
+        kept = labels if include_boundary else labels[:-1]
+        # explicit pairs in both register orders
+        explicit = [tuple(int(x) for x in rng.choice(kept, size=2, replace=False))
+                    for _ in range(4)]
+        for pairs in ("all_pairs", "nearest_neighbor", explicit):
+            field = distance_field(state, pairs=pairs, include_boundary=include_boundary,
+                                   boundary_labels=boundary)
+            assert field.labels == kept
+            computed = field.computed_pairs()
+            if pairs is explicit:
+                assert {frozenset(p) for p in computed} == {frozenset(p) for p in explicit}
+            for a, b in computed:
+                expect = info_distance(partial_trace(state, {a, b}), {a}, {b})
+                assert abs(field.value(a, b) - expect) <= 1e-12
+        ent = site_entropies(state, kept[::-1])
+        assert list(ent) == list(kept[::-1])
+        for lab, s in ent.items():
+            assert abs(s - von_neumann_entropy(partial_trace(state, {lab}))) <= 1e-12
+
+    def test_negative_eigenvalue_raises(self):
+        stack = np.array([[0.5, 0.5], [1.0 + 2e-10, -2e-10]])
+        with pytest.raises(InvariantError):
+            spectral_entropy(stack)
+        # within -1e-10 the eigenvalue counts as zero
+        assert spectral_entropy(np.array([[-5e-11, 1.0]]))[0] == 0.0
+        assert np.allclose(spectral_entropy(stack[:1]), [1.0])
+
+    def test_sweeps_match_scalar_distance(self):
+        grid = [i / 40 for i in range(41)]
+        werner = werner_sweep(grid)
+        pure = pure_family_sweep(grid)
+        for z, dw, dp in zip(grid, werner.values, pure.values):
+            assert dw == pytest.approx(info_distance(werner_state(z), {0}, {1}), abs=1e-12)
+            state = pure_family_state(z)
+            expect = info_distance(partial_trace(state, {0, 1}), {0}, {1})
+            assert dp == pytest.approx(expect, abs=1e-12)
 
 
 class TestSeparabilityWitness:
