@@ -27,19 +27,24 @@ class _Outputs:
         self.written: list[Path] = []
         self.dir.mkdir(parents=True, exist_ok=True)
 
-    def write_text(self, name: str, text: str) -> Path:
+    def _track(self, name: str) -> Path:
+        """Record a file before it is opened, so a partial write is discarded too."""
         path = self.dir / name
-        path.write_text(text)
         self.written.append(path)
         return path
 
+    def write_text(self, name: str, text: str) -> Path:
+        path = self._track(name)
+        path.write_text(text)
+        return path
+
     def write_json(self, name: str, obj) -> Path:
-        return self.write_text(name, exports.json_dumps(obj))
+        path = self._track(name)
+        exports.write_json(path, obj)
+        return path
 
     def write_pgm(self, name: str, matrix: np.ndarray) -> None:
-        path = self.dir / name
-        scale = exports.write_pgm(path, matrix)
-        self.written.append(path)
+        scale = exports.write_pgm(self._track(name), matrix)
         self.write_json(name.replace(".pgm", ".scale.json"), scale)
 
     def discard(self) -> None:

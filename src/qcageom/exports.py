@@ -32,6 +32,13 @@ def json_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def write_json(path: Path, obj) -> None:
+    """Stream the bytes of `json_dumps(obj)` into `path`, never holding them whole."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
 def matrix_csv(col_labels: Sequence, row_labels: Sequence, values: np.ndarray,
                corner: str = "label") -> str:
     lines = [",".join([corner, *map(str, col_labels)])]
@@ -157,8 +164,18 @@ def trace_to_json_obj(trace: RunTrace, include_snapshots: bool = True) -> dict:
 
 
 def trace_from_json_obj(obj: dict) -> RunTrace:
-    if obj.get("format") != "qcageom-trace-v1":
+    """Rebuild a trace; any malformed input raises ValueError."""
+    if not isinstance(obj, dict) or obj.get("format") != "qcageom-trace-v1":
         raise ValueError("not a qcageom trace file")
+    try:
+        return _trace_from_fields(obj)
+    except KeyError as exc:
+        raise ValueError(f"malformed trace: missing key {exc}") from None
+    except (TypeError, AttributeError, IndexError) as exc:
+        raise ValueError(f"malformed trace: {exc}") from None
+
+
+def _trace_from_fields(obj: dict) -> RunTrace:
     rcfg = obj["config"]
     unitaries = [_matrix_from_pairs(p, 2) for p in rcfg["rule"]["unitaries"]]
     rule = UpdateRule(*unitaries, name=rcfg["rule"]["name"])
@@ -183,8 +200,14 @@ def trace_from_json_obj(obj: dict) -> RunTrace:
 
 
 def save_trace(path: Path, trace: RunTrace, include_snapshots: bool = True) -> None:
-    Path(path).write_text(json_dumps(trace_to_json_obj(trace, include_snapshots)))
+    write_json(path, trace_to_json_obj(trace, include_snapshots))
 
 
 def load_trace(path: Path) -> RunTrace:
-    return trace_from_json_obj(json.loads(Path(path).read_text()))
+    """Read a trace file; an unreadable or malformed file raises ValueError."""
+    try:
+        with open(path) as fh:
+            obj = json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"cannot read trace {str(path)!r}: {exc.strerror}") from None
+    return trace_from_json_obj(obj)

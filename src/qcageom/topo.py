@@ -14,6 +14,7 @@ pair, which turns the one-update complex into a discrete line.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable
@@ -23,17 +24,30 @@ from .causal import AntiChain, CausalPoset, Gate, Wire, thicken
 BettiVector = tuple[int, ...]
 
 
-@dataclass(frozen=True)
+def _maximal(sets: Iterable[frozenset]) -> frozenset[frozenset]:
+    """The non-empty sets of a family that lie in no other set of it."""
+    kept: list[frozenset] = []
+    for s in sorted({s for s in sets if s}, key=len, reverse=True):
+        if not any(s <= k for k in kept):
+            kept.append(s)
+    return frozenset(kept)
+
+
+@dataclass(frozen=True, init=False)
 class SimplicialComplex:
-    """Vertex set plus a face-closed family of simplices."""
+    """Vertex set plus a face-closed family of simplices.
+
+    The complex is stored by its maximal simplices (its cover).  The face
+    set `simplices` is derived from the cover on first use; `dim`,
+    `maximal_simplices` and `betti` never need it.
+    """
 
     vertices: tuple
-    simplices: frozenset[frozenset]
+    _cover: frozenset[frozenset]
 
-    def __post_init__(self):
-        verts = tuple(sorted(set(self.vertices)))
-        object.__setattr__(self, "vertices", verts)
-        simps = frozenset(frozenset(s) for s in self.simplices)
+    def __init__(self, vertices: Iterable, simplices: Iterable[Iterable]):
+        verts = tuple(sorted(set(vertices)))
+        simps = frozenset(frozenset(s) for s in simplices)
         vert_set = set(verts)
         for s in simps:
             if not s:
@@ -43,26 +57,38 @@ class SimplicialComplex:
             for face in itertools.combinations(s, len(s) - 1):
                 if face and frozenset(face) not in simps:
                     raise ValueError(f"face closure violated at {sorted(s)!r}")
+        facets = {s - {v} for s in simps if len(s) > 1 for v in s}
+        self._set(verts, simps - facets)
         object.__setattr__(self, "simplices", simps)
+
+    def _set(self, vertices: tuple, cover: frozenset[frozenset]) -> None:
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "_cover", cover)
+
+    @classmethod
+    def _from_cover(cls, vertices: Iterable, cover: frozenset[frozenset]) -> "SimplicialComplex":
+        out = cls.__new__(cls)
+        out._set(tuple(sorted(set(vertices))), cover)
+        return out
 
     @classmethod
     def from_maximal(cls, maximal: Iterable[Iterable], extra_vertices: Iterable = ()) -> "SimplicialComplex":
         """Downward closure of the given simplices plus isolated vertices."""
-        simps = set()
-        verts = set(extra_vertices)
-        for m in maximal:
-            m = tuple(set(m))
-            verts.update(m)
+        sets = [frozenset(m) for m in maximal]
+        verts = set(extra_vertices).union(*sets)
+        return cls._from_cover(verts, _maximal([*sets, *(frozenset([v]) for v in verts)]))
+
+    @functools.cached_property
+    def simplices(self) -> frozenset[frozenset]:
+        faces = set()
+        for m in self._cover:
             for k in range(1, len(m) + 1):
-                for face in itertools.combinations(m, k):
-                    simps.add(frozenset(face))
-        for v in verts:
-            simps.add(frozenset([v]))
-        return cls(vertices=tuple(verts), simplices=frozenset(simps))
+                faces.update(map(frozenset, itertools.combinations(m, k)))
+        return frozenset(faces)
 
     @property
     def dim(self) -> int:
-        return max((len(s) - 1 for s in self.simplices), default=-1)
+        return max((len(s) - 1 for s in self._cover), default=-1)
 
     def k_simplices(self, k: int) -> list[frozenset]:
         return sorted((s for s in self.simplices if len(s) == k + 1),
@@ -72,17 +98,32 @@ class SimplicialComplex:
         return [tuple(sorted(e)) for e in self.k_simplices(1)]
 
     def maximal_simplices(self) -> list[frozenset]:
-        return [s for s in self.simplices
-                if not any(s < t for t in self.simplices)]
+        return list(self._cover)
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** (len(s) - 1) for s in self.simplices)
 
     def without_edges(self, removed: Iterable[tuple]) -> "SimplicialComplex":
-        """Drop the given edges and every simplex containing one of them."""
+        """Drop the given edges and every simplex containing one of them.
+
+        A maximal simplex that contains a removed edge {a, b} splits into
+        its two facets without a and without b, until no piece contains a
+        removed edge.
+        """
         removed = {frozenset(e) for e in removed}
-        kept = [s for s in self.simplices if not any(r <= s for r in removed)]
-        return SimplicialComplex(vertices=self.vertices, simplices=frozenset(kept))
+        pending, seen, kept = list(self._cover), set(self._cover), []
+        while pending:
+            s = pending.pop()
+            edge = next((r for r in removed if r <= s), None)
+            if edge is None:
+                kept.append(s)
+                continue
+            for v in edge:
+                piece = s - {v}
+                if piece not in seen:
+                    seen.add(piece)
+                    pending.append(piece)
+        return SimplicialComplex._from_cover(self.vertices, _maximal(kept))
 
     def to_json_obj(self) -> dict:
         return {
@@ -95,16 +136,16 @@ class SimplicialComplex:
 
 
 def _gf2_rank(rows: list[int]) -> int:
-    rank = 0
-    basis: list[int] = []
+    """Rank over GF(2) of bit-mask rows: one basis row per leading bit."""
+    pivots: dict[int, int] = {}
     for row in rows:
-        for b in basis:
-            row = min(row, row ^ b)
-        if row:
-            basis.append(row)
-            basis.sort(reverse=True)
-            rank += 1
-    return rank
+        while row:
+            top = row.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = row
+                break
+            row ^= pivots[top]
+    return len(pivots)
 
 
 def boundary_rank(complex_: SimplicialComplex, k: int) -> int:
@@ -121,16 +162,48 @@ def boundary_rank(complex_: SimplicialComplex, k: int) -> int:
     return _gf2_rank(columns)
 
 
+def _strong_collapse_core(cover: Iterable[frozenset]) -> frozenset[frozenset]:
+    """Cover of the complex left after dropping dominated vertices.
+
+    A vertex v is dominated when every maximal simplex containing v also
+    contains some other vertex u; deleting v is a strong collapse, which
+    keeps the homotopy type (Barmak and Minian 2012).  Iterating the nerve
+    of the cover reaches the same core up to isomorphism, but a nerve can
+    be far larger than its complex: maximal simplices that share one
+    vertex span a simplex of the nerve.
+    """
+    cover = frozenset(cover)
+    changed = True
+    while changed:
+        changed = False
+        for v in frozenset().union(*cover):
+            star = [s for s in cover if v in s]
+            if len(frozenset.intersection(*star)) > 1:
+                cover = _maximal([*(cover - set(star)), *(s - {v} for s in star)])
+                changed = True
+    return cover
+
+
+def _face_betti(complex_: SimplicialComplex) -> BettiVector:
+    ranks = [boundary_rank(complex_, k) for k in range(complex_.dim + 2)]
+    return tuple(
+        len(complex_.k_simplices(k)) - ranks[k] - ranks[k + 1]
+        for k in range(complex_.dim + 1)
+    )
+
+
 def betti(complex_: SimplicialComplex) -> BettiVector:
-    """(b0, b1, ..., b_dim) over GF(2): b_k = dim C_k - rank d_k - rank d_{k+1}."""
+    """(b0, b1, ..., b_dim) over GF(2): b_k = dim C_k - rank d_k - rank d_{k+1}.
+
+    The ranks are taken on the strong-collapse core, which has the same
+    homology; the vector is padded with zeros to the complex's own dim.
+    """
     d = complex_.dim
     if d < 0:
         return ()
-    ranks = [boundary_rank(complex_, k) for k in range(d + 2)]
-    return tuple(
-        len(complex_.k_simplices(k)) - ranks[k] - ranks[k + 1]
-        for k in range(d + 1)
-    )
+    core = _strong_collapse_core(complex_._cover)
+    b = _face_betti(SimplicialComplex._from_cover(frozenset().union(*core), core))
+    return b + (0,) * (d + 1 - len(b))
 
 
 def _strip_trailing_zeros(b: BettiVector) -> BettiVector:

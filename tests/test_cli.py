@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qcageom import exports, infogeo
-from qcageom.cli import main, parse_qubit_literal
+from qcageom.cli import _Outputs, main, parse_qubit_literal
 
 
 def run_cli(*argv) -> int:
@@ -246,3 +246,50 @@ class TestTopologyCommands:
                 "--out", tmp_path / "t3")
         cx = json.loads((tmp_path / "t3" / "complex.json").read_text())
         assert [0, 1, 2] in cx["maximal_simplices"]
+
+    def test_thickness7_filtration(self, tmp_path, capsys):
+        code = run_cli("run", "--experiment", "topology", "--n-sites", 14,
+                       "--thickness", 7, "--no-save-trace", "--out", tmp_path / "t7")
+        assert code == 0
+        assert capsys.readouterr().out.strip().splitlines()[-1] == "t_star=1"
+        rows = (tmp_path / "t7" / "betti_filtration.csv").read_text().splitlines()
+        assert rows[0] == ",".join(["thickness", *[f"b{k}" for k in range(15)]])
+        assert rows[1:] == [",".join([str(t), "1", *["0"] * 14]) for t in range(1, 8)]
+
+
+class TestTraceInputErrors:
+    def test_missing_trace_exit_2(self, tmp_path, capsys):
+        code = run_cli("topology", "--trace", tmp_path / "missing.json",
+                       "--out", tmp_path / "t")
+        assert code == 2
+        assert "cannot read trace" in capsys.readouterr().err
+        assert not (tmp_path / "t").exists()
+
+    def test_format_only_trace_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "bare.json"
+        path.write_text(json.dumps({"format": "qcageom-trace-v1"}))
+        code = run_cli("topology", "--trace", path, "--out", tmp_path / "t")
+        assert code == 2
+        assert "missing key 'config'" in capsys.readouterr().err
+        assert not (tmp_path / "t").exists()
+
+    @pytest.mark.parametrize("text", [
+        "[]", "{", '{"format": "qcageom-trace-v1", "config": 3}',
+    ])
+    def test_malformed_trace_exit_2(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code = run_cli("distance-matrix", "--trace", path, "--step", 0,
+                       "--out", tmp_path / "dm")
+        assert code == 2
+        assert not (tmp_path / "dm").exists()
+
+
+class TestOutputs:
+    def test_partial_json_discarded(self, tmp_path):
+        out = _Outputs(tmp_path / "o")
+        with pytest.raises(TypeError):
+            out.write_json("x.json", {"a": list(range(100)), "b": object()})
+        assert (tmp_path / "o" / "x.json").exists()
+        out.discard()
+        assert not (tmp_path / "o").exists()

@@ -124,6 +124,25 @@ class TestTraceRoundtrip:
         with pytest.raises(ValueError):
             exports.trace_from_json_obj({"format": "something-else"})
 
+    @pytest.mark.parametrize("mangle", [
+        lambda o: o.pop("layers"),
+        lambda o: o["config"].pop("rule"),
+        lambda o: o.__setitem__("layers", [3]),
+        lambda o: o["layers"][0].__setitem__("gates", [{"target": 1}]),
+        lambda o: o["snapshots"][0].__setitem__("amplitudes_b64", 5),
+        lambda o: o["config"]["rule"].__setitem__("unitaries", [[1, 2]]),
+    ])
+    def test_malformed_fields_raise_value_error(self, mangle):
+        config = QcaConfig(n_sites=2, rule=PI3_RULE)
+        obj = json.loads(exports.json_dumps(exports.trace_to_json_obj(run(config, 1))))
+        mangle(obj)
+        with pytest.raises(ValueError):
+            exports.trace_from_json_obj(obj)
+
+    def test_load_missing_file_raises_value_error(self, tmp_path):
+        with pytest.raises(ValueError):
+            exports.load_trace(tmp_path / "absent.json")
+
     def test_save_load(self, tmp_path):
         config = QcaConfig(n_sites=3, rule=PI3_RULE)
         trace = run(config, 1, initial_state(config, {1: KET_PLUS}))
@@ -140,6 +159,15 @@ class TestDeterminism:
         t2 = run(config, 3, initial_state(config, {2: KET_PLUS}))
         assert exports.json_dumps(exports.trace_to_json_obj(t1)) == \
             exports.json_dumps(exports.trace_to_json_obj(t2))
+
+    def test_streamed_json_bytes(self, tmp_path):
+        config = QcaConfig(n_sites=4, rule=PI3_RULE)
+        trace = run(config, 3, initial_state(config, {2: KET_PLUS}))
+        obj = exports.trace_to_json_obj(trace)
+        exports.write_json(tmp_path / "t.json", obj)
+        assert (tmp_path / "t.json").read_text() == exports.json_dumps(obj)
+        exports.save_trace(tmp_path / "s.json", trace)
+        assert (tmp_path / "s.json").read_bytes() == (tmp_path / "t.json").read_bytes()
 
     def test_identical_field_csv(self):
         config = QcaConfig(n_sites=4, rule=PI3_RULE)

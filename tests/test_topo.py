@@ -10,6 +10,7 @@ from qcageom.causal import CausalPoset, Gate, Wire, build_poset, slice_antichain
 from qcageom.qca import GateRecord, LayerRecord, PULSE_RULE, QcaConfig, RunTrace, run
 from qcageom.topo import (
     SimplicialComplex,
+    _strong_collapse_core,
     betti,
     boundary_rank,
     shadow_complex,
@@ -343,3 +344,105 @@ class TestStableComplex:
         result = stable_complex(poset, base, 4, controlled_simplification=True)
         assert result.t_star is None
         assert result.filtration == ((1, (1, 0)),)
+
+
+# ------------------------------------ maximal-simplex storage and collapse
+
+def closure_oracle(maximal, vertices=()) -> set[frozenset]:
+    """Every non-empty subset of every given simplex, plus the vertices."""
+    faces = {frozenset([v]) for v in vertices}
+    for m in maximal:
+        m = sorted(set(m))
+        for mask in range(1, 2 ** len(m)):
+            faces.add(frozenset(x for i, x in enumerate(m) if mask >> i & 1))
+    return faces
+
+
+def random_cover(rng, n: int, offset: int = 0) -> list[tuple]:
+    return [
+        tuple((offset + rng.choice(n, size=int(rng.integers(1, min(6, n + 1))),
+                                   replace=False)).tolist())
+        for _ in range(int(rng.integers(1, 9)))
+    ]
+
+
+def octahedron_boundary() -> SimplicialComplex:
+    return complex_of(*itertools.product((0, 1), (2, 3), (4, 5)))
+
+
+class TestMaximalStorage:
+    def test_derived_faces_match_closure(self):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            n = int(rng.integers(2, 10))
+            cover = random_cover(rng, n)
+            cx = complex_of(*cover, vertices=range(n))
+            expected = closure_oracle(cover, range(n))
+            assert cx.simplices == expected
+            assert {s for s in expected if not any(s < t for t in expected)} == \
+                set(cx.maximal_simplices())
+            assert cx.dim == max(len(s) for s in expected) - 1
+
+    def test_without_edges_matches_face_filter(self):
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            n = int(rng.integers(3, 10))
+            cover = random_cover(rng, n)
+            cx = complex_of(*cover, vertices=range(n))
+            removed = [tuple(rng.choice(n, size=2, replace=False).tolist())
+                       for _ in range(int(rng.integers(1, 5)))]
+            expected = {s for s in closure_oracle(cover, range(n))
+                        if not any(set(r) <= s for r in removed)}
+            out = cx.without_edges(removed)
+            assert out.simplices == expected
+            assert out.vertices == cx.vertices
+            assert out == SimplicialComplex(vertices=range(n), simplices=expected)
+
+    def test_explicit_faces_equal_from_maximal(self):
+        cx = complex_of((0, 1, 2), (2, 3), vertices=[4])
+        explicit = SimplicialComplex(vertices=cx.vertices, simplices=cx.simplices)
+        assert explicit == cx
+        assert betti(explicit) == betti(cx) == (2, 0, 0)
+
+
+class TestStrongCollapseBetti:
+    def test_random_without_edges_against_oracle(self):
+        rng = np.random.default_rng(10)
+        for _ in range(150):
+            n = int(rng.integers(3, 10))
+            cx = complex_of(*random_cover(rng, n), vertices=range(n))
+            removed = [tuple(rng.choice(n, size=2, replace=False).tolist())
+                       for _ in range(int(rng.integers(1, 5)))]
+            out = cx.without_edges(removed)
+            assert betti(out) == betti_oracle(out)
+
+    def test_random_disconnected_against_oracle(self):
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            n1, n2 = int(rng.integers(2, 7)), int(rng.integers(2, 7))
+            cover = random_cover(rng, n1) + random_cover(rng, n2, offset=n1)
+            cx = complex_of(*cover, vertices=range(n1 + n2 + 1))
+            b = betti(cx)
+            assert b == betti_oracle(cx)
+            assert b[0] >= 2
+
+    @pytest.mark.parametrize("cx, expected", [
+        (octahedron_boundary(), (1, 0, 1)),
+        (complex_of((0, 1), (1, 2), (0, 2)), (1, 1)),
+    ])
+    def test_no_dominated_vertex(self, cx, expected):
+        assert _strong_collapse_core(cx.maximal_simplices()) == \
+            frozenset(cx.maximal_simplices())
+        assert betti(cx) == betti_oracle(cx) == expected
+
+    def test_padded_to_dim(self):
+        cx = complex_of((0, 1, 2, 3), (3, 4))
+        assert betti(cx) == betti_oracle(cx) == (1, 0, 0, 0)
+
+    def test_slice_complex_collapses_to_a_point(self):
+        config = QcaConfig(n_sites=14, rule=PULSE_RULE)
+        poset = build_poset(run(config, 5))
+        base = slice_antichain(poset, 0)
+        cx = unitary_shadow_complex(poset, base, 5, controlled_simplification=True)
+        assert len(_strong_collapse_core(cx.maximal_simplices())) == 1
+        assert betti(cx) == (1,) + (0,) * cx.dim
