@@ -11,7 +11,13 @@ causal influence on each other through it.
 
 Boundary ancillae are pinned to |0>, so edge-site gates list only their
 interior neighbor as a control and boundary wires flow through identity
-chains.
+chains.  The state vectors of `qca` do not store the ancillae; here they
+stay as the wires of sites 0 and N+1.
+
+A change to the initial state outside a wire's ancestors leaves that
+wire's computational-basis populations unchanged.  Its coherences may
+change: a controlled gate kicks a target-dependent phase back onto its
+controls, which the poset does not record.
 """
 from __future__ import annotations
 

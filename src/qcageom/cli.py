@@ -82,10 +82,6 @@ def _pair_columns(labels):
     return [f"{a}-{b}" for a, b in zip(labels, labels[1:])]
 
 
-def _field_labels(config: qca.QcaConfig, include_boundary: bool):
-    return config.labels if include_boundary else config.register_sites
-
-
 def _snapshot_field(trace: qca.RunTrace, idx: int, state, pairs: str,
                     include_boundary: bool) -> infogeo.DistanceField:
     return infogeo.distance_field(
@@ -97,42 +93,29 @@ def _snapshot_field(trace: qca.RunTrace, idx: int, state, pairs: str,
 def _write_distance_outputs(out: _Outputs, trace: qca.RunTrace, pairs: str,
                             include_boundary: bool, pgm: bool) -> list[infogeo.DistanceField]:
     """Write one distance CSV per snapshot; return the fields."""
-    labels = _field_labels(trace.config, include_boundary)
     fields, nn_rows = [], []
     for idx, state in trace.snapshots:
         field = _snapshot_field(trace, idx, state, pairs, include_boundary)
         fields.append(field)
         out.write_text(f"distance_step_{idx:04d}.csv", exports.distance_field_csv(field))
         if pairs == "nearest_neighbor":
-            nn_rows.append((idx, [field.value(a, b) for a, b in zip(labels, labels[1:])]))
+            nn_rows.append((idx, np.diagonal(field.values, 1)))
     if nn_rows:
-        text = exports.series_csv(_pair_columns(labels), nn_rows, corner="layer")
+        text = exports.series_csv(_pair_columns(fields[0].labels), nn_rows, corner="layer")
         out.write_text("nn_distance.csv", text)
         if pgm:
             out.write_pgm("nn_distance.pgm", np.array([r for _, r in nn_rows]))
     return fields
 
 
-def _write_occupation(out: _Outputs, trace: qca.RunTrace, pgm: bool) -> None:
-    sites = trace.config.register_sites
-    rows = []
-    for idx, state in trace.snapshots:
-        occ = qca.occupation_probabilities(state)
-        rows.append((idx, [occ[s] for s in sites]))
-    out.write_text("p1.csv", exports.series_csv(sites, rows, corner="layer"))
+def _write_site_series(out: _Outputs, trace: qca.RunTrace, name: str, per_site,
+                       pgm: bool) -> None:
+    """`name`.csv: one row per snapshot of `per_site(state)`, a dict keyed by register site."""
+    rows = [(idx, list(per_site(state).values())) for idx, state in trace.snapshots]
+    out.write_text(f"{name}.csv", exports.series_csv(trace.config.register_sites, rows,
+                                                    corner="layer"))
     if pgm:
-        out.write_pgm("p1.pgm", np.array([r for _, r in rows]))
-
-
-def _write_entropies(out: _Outputs, trace: qca.RunTrace, pgm: bool) -> None:
-    sites = trace.config.register_sites
-    rows = []
-    for idx, state in trace.snapshots:
-        ent = infogeo.site_entropies(state, sites)
-        rows.append((idx, [ent[s] for s in sites]))
-    out.write_text("entropy.csv", exports.series_csv(sites, rows, corner="layer"))
-    if pgm:
-        out.write_pgm("entropy.pgm", np.array([r for _, r in rows]))
+        out.write_pgm(f"{name}.pgm", np.array([r for _, r in rows]))
 
 
 def _block_report_obj(field: infogeo.DistanceField, seed_site: int | None) -> dict:
@@ -147,9 +130,11 @@ def _block_report_obj(field: infogeo.DistanceField, seed_site: int | None) -> di
 
 
 def _maybe_save_trace(out: _Outputs, trace: qca.RunTrace, args) -> None:
+    # The topology experiment's snapshots are all the same all-|0> fixed
+    # point, and `topology --trace` reads only the layers.
     if args.save_trace:
-        obj = exports.trace_to_json_obj(trace, include_snapshots=not args.no_snapshots)
-        out.write_json("trace.json", obj)
+        snapshots = not args.no_snapshots and args.experiment != "topology"
+        out.write_json("trace.json", exports.trace_to_json_obj(trace, snapshots))
 
 
 def _cmd_run(args, out: _Outputs) -> int:
@@ -158,7 +143,7 @@ def _cmd_run(args, out: _Outputs) -> int:
             raise ValueError("propagate needs --n-sites")
         psi = parse_qubit_literal(args.psi)
         trace, fid = qca.propagate_experiment(args.n_sites, psi)
-        _write_occupation(out, trace, args.pgm)
+        _write_site_series(out, trace, "p1", qca.occupation_probabilities, args.pgm)
         _write_distance_outputs(out, trace, args.pairs, args.include_boundary, args.pgm)
         _maybe_save_trace(out, trace, args)
         if fid < 1.0 - GHZ_FIDELITY_TOL:
@@ -170,7 +155,7 @@ def _cmd_run(args, out: _Outputs) -> int:
             raise ValueError("ghz needs --n-sites")
         trace, fid = qca.ghz_experiment(args.n_sites)
         seed = args.n_sites // 2 if args.n_sites % 4 == 0 else args.n_sites // 2 + 1
-        _write_occupation(out, trace, args.pgm)
+        _write_site_series(out, trace, "p1", qca.occupation_probabilities, args.pgm)
         fields = _write_distance_outputs(out, trace, args.pairs, args.include_boundary, args.pgm)
         if args.pairs != "all_pairs" or args.include_boundary:
             # The block reports need register-only all-pairs fields.
@@ -186,7 +171,7 @@ def _cmd_run(args, out: _Outputs) -> int:
         if args.n_sites is None or args.seed_site is None:
             raise ValueError("pi3 needs --n-sites and --seed-site")
         trace = qca.pi3_experiment(args.n_sites, args.seed_site, args.steps)
-        _write_entropies(out, trace, args.pgm)
+        _write_site_series(out, trace, "entropy", infogeo.site_entropies, args.pgm)
         _write_distance_outputs(out, trace, args.pairs, args.include_boundary, args.pgm)
         _maybe_save_trace(out, trace, args)
         return 0
@@ -259,12 +244,10 @@ def _cmd_distance_matrix(args, out: _Outputs) -> int:
     trace = exports.load_trace(args.trace)
     if not trace.snapshots:
         raise ValueError("trace has no snapshots")
-    try:
-        idx, state = trace.snapshots[args.step]
-    except IndexError:
+    if not 0 <= args.step < len(trace.snapshots):
         raise ValueError(
-            f"step {args.step} out of range (trace has {len(trace.snapshots)} snapshots)"
-        ) from None
+            f"step {args.step} out of range (trace has {len(trace.snapshots)} snapshots)")
+    idx, state = trace.snapshots[args.step]
     field = _snapshot_field(trace, idx, state, "all_pairs", args.include_boundary)
     out.write_text("distance_matrix.csv", exports.distance_field_csv(field))
     out.write_json("distance_matrix.json", exports.distance_field_json_obj(field))

@@ -3,7 +3,9 @@
 Every writer is deterministic (no timestamps, sorted keys, fixed float
 formatting), so identical inputs produce byte-identical files.  The
 string "nan" in CSV and null in JSON mark pairs that were not computed;
-zero is a meaningful distance and never doubles as a marker.
+zero is a meaningful distance and never doubles as a marker.  Traces
+are written as v2 (register-only snapshots) and read as v2 or as v1
+(snapshots with the boundary ancillae).
 """
 from __future__ import annotations
 
@@ -17,6 +19,10 @@ import numpy as np
 
 from .infogeo import DistanceField, SweepCurve
 from .qca import GateRecord, LayerRecord, QcaConfig, RunTrace, StateVector, UpdateRule
+from .statealg import MAX_QUBITS
+
+TRACE_FORMAT, TRACE_FORMAT_V1 = "qcageom-trace-v2", "qcageom-trace-v1"
+ANCILLA_TOL = 1e-10  # largest |1> population of a v1 ancilla that reads as |0>
 
 
 def fmt12(v: float) -> str:
@@ -124,15 +130,22 @@ def _amplitudes_b64(state: StateVector) -> str:
     return base64.b64encode(state.amplitudes.astype("<c16").tobytes()).decode("ascii")
 
 
-def _amplitudes_from_b64(text: str, labels: Sequence[int]) -> StateVector:
-    amps = np.frombuffer(base64.b64decode(text), dtype="<c16")
-    return StateVector(amps.astype(complex), tuple(labels))
+def _snapshot_from_b64(text: str, config: QcaConfig, v1: bool, layer: int) -> StateVector:
+    """A snapshot's register state; the ancillae of a v1 snapshot must be in |0>."""
+    amps = np.frombuffer(base64.b64decode(text), dtype="<c16").astype(complex)
+    if v1:
+        psi = amps.reshape(2, -1, 2)
+        pop = max(np.vdot(off, off).real for off in (psi[1], psi[:, :, 1]))
+        if not pop <= ANCILLA_TOL:  # NaN fails too
+            raise ValueError(f"boundary qubit at layer {layer} has |1> population {pop:.3g}")
+        amps = psi[0, :, 0]
+    return StateVector(amps, config.register_sites)
 
 
 def trace_to_json_obj(trace: RunTrace, include_snapshots: bool = True) -> dict:
     cfg = trace.config
     obj = {
-        "format": "qcageom-trace-v1",
+        "format": TRACE_FORMAT,
         "config": {
             "n_sites": cfg.n_sites,
             "b_parity": cfg.b_parity,
@@ -142,7 +155,7 @@ def trace_to_json_obj(trace: RunTrace, include_snapshots: bool = True) -> dict:
             },
         },
         "granularity": trace.granularity,
-        "labels": list(cfg.labels),
+        "labels": list(cfg.register_sites),
         "layers": [
             {
                 "index": layer.index,
@@ -165,38 +178,66 @@ def trace_to_json_obj(trace: RunTrace, include_snapshots: bool = True) -> dict:
 
 def trace_from_json_obj(obj: dict) -> RunTrace:
     """Rebuild a trace; any malformed input raises ValueError."""
-    if not isinstance(obj, dict) or obj.get("format") != "qcageom-trace-v1":
+    if not isinstance(obj, dict) or obj.get("format") not in (TRACE_FORMAT, TRACE_FORMAT_V1):
         raise ValueError("not a qcageom trace file")
     try:
-        return _trace_from_fields(obj)
+        return _trace_from_fields(obj, v1=obj["format"] == TRACE_FORMAT_V1)
     except KeyError as exc:
         raise ValueError(f"malformed trace: missing key {exc}") from None
     except (TypeError, AttributeError, IndexError) as exc:
         raise ValueError(f"malformed trace: {exc}") from None
 
 
-def _trace_from_fields(obj: dict) -> RunTrace:
+def _int(value, what: str, lo: int, hi: int) -> int:
+    if type(value) is not int:  # JSON true and 1.0 are not indices
+        raise ValueError(f"malformed trace: {what} {value!r} is not an integer")
+    if not lo <= value <= hi:
+        raise ValueError(f"malformed trace: {what} {value} outside {lo}..{hi}")
+    return value
+
+
+def _choice(value, what: str, allowed: tuple[str, ...]) -> str:
+    if value not in allowed:
+        raise ValueError(f"malformed trace: {what} {value!r} is not one of {allowed}")
+    return value
+
+
+def _gate_from_fields(g: dict, n_sites: int) -> GateRecord:
+    target = _int(g["target"], "gate target", 1, n_sites)
+    controls = tuple(_int(c, "gate control", 1, n_sites) for c in g["controls"])
+    if not set(controls) <= {target - 1, target + 1}:
+        raise ValueError(f"malformed trace: controls {list(controls)} of site {target} "
+                         "are not its neighbours")
+    return GateRecord(target=target, controls=controls,
+                      kind=_choice(g["kind"], "gate kind", ("rule", "phase")))
+
+
+def _trace_from_fields(obj: dict, v1: bool) -> RunTrace:
     rcfg = obj["config"]
     unitaries = [_matrix_from_pairs(p, 2) for p in rcfg["rule"]["unitaries"]]
     rule = UpdateRule(*unitaries, name=rcfg["rule"]["name"])
-    config = QcaConfig(n_sites=rcfg["n_sites"], rule=rule, b_parity=rcfg["b_parity"])
+    n = _int(rcfg["n_sites"], "n_sites", 2, MAX_QUBITS)
+    config = QcaConfig(n_sites=n, rule=rule, b_parity=rcfg["b_parity"])
+    labels = list(config.labels if v1 else config.register_sites)
+    if obj["labels"] != labels:
+        raise ValueError(f"malformed trace: labels {obj['labels']!r}, expected {labels}")
     layers = tuple(
         LayerRecord(
-            index=l["index"],
-            species=l["species"],
-            gates=tuple(
-                GateRecord(target=g["target"], controls=tuple(g["controls"]), kind=g["kind"])
-                for g in l["gates"]
-            ),
+            index=_int(l["index"], "layer index", i, i),
+            species=_choice(l["species"], "species", ("A", "B", "phase")),
+            gates=tuple(_gate_from_fields(g, n) for g in l["gates"]),
         )
-        for l in obj["layers"]
+        for i, l in enumerate(obj["layers"], start=1)
     )
-    snapshots = tuple(
-        (s["layer"], _amplitudes_from_b64(s["amplitudes_b64"], config.labels))
-        for s in obj.get("snapshots", [])
-    )
-    return RunTrace(config=config, granularity=obj["granularity"],
-                    layers=layers, snapshots=snapshots)
+    snapshots: list[tuple[int, StateVector]] = []
+    for s in obj.get("snapshots", []):
+        first = snapshots[-1][0] + 1 if snapshots else 0
+        layer = _int(s["layer"], "snapshot layer", first, len(layers))
+        snapshots.append((layer, _snapshot_from_b64(s["amplitudes_b64"], config, v1, layer)))
+    granularity = _choice(obj["granularity"], "granularity",
+                          ("per_species_layer", "per_global_step"))
+    return RunTrace(config=config, granularity=granularity,
+                    layers=layers, snapshots=tuple(snapshots))
 
 
 def save_trace(path: Path, trace: RunTrace, include_snapshots: bool = True) -> None:

@@ -180,19 +180,29 @@ def distance_field(
     `pairs` is "all_pairs", "nearest_neighbor" (chain adjacency in label
     order), or an explicit iterable of label pairs, e.g. the edge set of a
     slice complex.  Boundary labels are dropped unless `include_boundary`.
+    A boundary label absent from the state is a virtual |0> qubit at the
+    chain end it bounds: it adds no entropy, so its distance to x is S(x).
     """
-    boundary = set(boundary_labels)
+    boundary = tuple(dict.fromkeys(boundary_labels))
     labels = tuple(l for l in state.labels if include_boundary or l not in boundary)
+    if include_boundary:
+        virtual = [b for b in boundary if b not in state.labels]
+        first = min(state.labels)
+        labels = (*[b for b in virtual if b < first], *labels, *[b for b in virtual if b > first])
     if len(labels) < 2:
         raise ValueError("need at least two labels for a distance field")
     values = np.full((len(labels), len(labels)), UNCOMPUTED)
     np.fill_diagonal(values, 0.0)
     index = {lab: i for i, lab in enumerate(labels)}
     chosen = _select_pairs(labels, pairs)
-    sites = list(dict.fromkeys(lab for pair in chosen for lab in pair))
+    stored = set(state.labels)
+    sites = [lab for lab in dict.fromkeys(lab for pair in chosen for lab in pair) if lab in stored]
     s_site = dict(zip(sites, _reduced_entropies(state, [(lab,) for lab in sites])))
-    for (a, b), s_ab in zip(chosen, _reduced_entropies(state, chosen)):
-        d = 2.0 * s_ab - s_site[a] - s_site[b]
+    whole = [pair for pair in chosen if set(pair) <= stored]
+    s_pair = dict(zip(whole, _reduced_entropies(state, whole)))
+    for a, b in chosen:
+        s_a, s_b = s_site.get(a, 0.0), s_site.get(b, 0.0)
+        d = 2.0 * s_pair.get((a, b), s_a + s_b) - s_a - s_b
         values[index[a], index[b]] = d
         values[index[b], index[a]] = d
     return DistanceField(time_step=time_step, labels=labels, values=values)

@@ -1,4 +1,4 @@
-"""1D block-partitioned QCA engine with static boundary ancillae.
+"""1D block-partitioned QCA engine with virtual boundary ancillae.
 
 A register of N sites (labels 1..N) sits between two ancilla qubits at
 positions 0 and N+1 that are pinned to |0> and never targeted.  Sites are
@@ -8,6 +8,8 @@ multiply-controlled unitary: the single-qubit operator u_c acts on the
 site, with c = 2*(left neighbor bit) + (right neighbor bit).  At the
 chain ends the pinned ancillae reduce this to two-qubit gates keyed on
 the interior neighbor alone (u0/u1 at site 1, u0/u2 at site N).
+The ancillae carry no information, so states hold only the register;
+the boundary stays in `QcaConfig.labels`, the wires of the causal poset.
 """
 from __future__ import annotations
 
@@ -18,8 +20,8 @@ import numpy as np
 
 from .statealg import (
     IDENTITY_2,
+    MAX_QUBITS,
     PAULI_X,
-    InvariantError,
     StateVector,
     apply_unitary,
     fidelity,
@@ -107,13 +109,14 @@ class QcaConfig:
     def __post_init__(self):
         if self.n_sites < 2:
             raise ValueError("need at least 2 sites")
-        if self.n_sites > 14:
-            raise ValueError("register plus boundary exceeds 16 qubits")
+        if self.n_sites > MAX_QUBITS:
+            raise ValueError(f"more than {MAX_QUBITS} sites")
         if self.b_parity not in ("odd", "even"):
             raise ValueError("b_parity must be 'odd' or 'even'")
 
     @property
     def labels(self) -> tuple[int, ...]:
+        """Register sites with the boundary: the wires of the causal poset."""
         return tuple(range(self.n_sites + 2))
 
     @property
@@ -216,20 +219,16 @@ def _control_sites(site: int, n_sites: int) -> tuple[int, ...]:
 
 
 def initial_state(config: QcaConfig, seeds: dict[int, np.ndarray] | None = None) -> StateVector:
-    """All-|0> register (boundary included) with optional single-site seeds."""
+    """All-|0> register with optional single-site seeds."""
     seeds = seeds or {}
     for site in seeds:
         if site not in config.register_sites:
             raise ValueError(f"cannot seed non-register site {site}")
     qubits = []
-    for lab in config.labels:
-        if lab in seeds:
-            q = np.asarray(seeds[lab], dtype=complex).reshape(-1)
-            q = q / math.sqrt(float(np.vdot(q, q).real))
-            qubits.append(q)
-        else:
-            qubits.append(KET0)
-    return product_state(qubits, config.labels)
+    for site in config.register_sites:
+        q = np.asarray(seeds.get(site, KET0), dtype=complex).reshape(-1)
+        qubits.append(q / math.sqrt(float(np.vdot(q, q).real)))
+    return product_state(qubits, config.register_sites)
 
 
 def species_update(state: StateVector, config: QcaConfig, species: str) -> StateVector:
@@ -241,8 +240,8 @@ def species_update(state: StateVector, config: QcaConfig, species: str) -> State
     """
     if species not in ("A", "B"):
         raise ValueError("species must be 'A' or 'B'")
-    if state.labels != config.labels:
-        raise ValueError("state labels do not match the register (boundary included)")
+    if state.labels != config.register_sites:
+        raise ValueError("state labels do not match the register")
     for site in config.species_sites(species):
         gate = site_update_unitary(config.rule, site, config.n_sites)
         state = apply_unitary(state, gate, _gate_targets(site, config.n_sites))
@@ -274,7 +273,7 @@ def run(
     if record not in ("per_species_layer", "per_global_step"):
         raise ValueError(f"unknown record granularity {record!r}")
     state = initial if initial is not None else initial_state(config)
-    if state.labels != config.labels:
+    if state.labels != config.register_sites:
         raise ValueError("initial state labels do not match the register")
     layers: list[LayerRecord] = []
     snapshots: list[tuple[int, StateVector]] = [(0, state)]
@@ -344,14 +343,10 @@ def propagate_experiment(
 
 
 def ghz_vector(n_sites: int, config: QcaConfig) -> StateVector:
-    """(|0...0> + |1...1>)/sqrt(2) on the register, boundaries |0>."""
-    amps = np.zeros(1 << (n_sites + 2), dtype=complex)
-    amps[0] = 1.0 / math.sqrt(2)
-    ones_index = 0
-    for site in config.register_sites:
-        ones_index |= 1 << (n_sites + 1 - site)
-    amps[ones_index] = 1.0 / math.sqrt(2)
-    return StateVector(amps, config.labels)
+    """(|0...0> + |1...1>)/sqrt(2) on the register."""
+    amps = np.zeros(1 << n_sites, dtype=complex)
+    amps[[0, -1]] = 1.0 / math.sqrt(2)
+    return StateVector(amps, config.register_sites)
 
 
 def ghz_experiment(n_sites: int, record: str = "per_species_layer") -> tuple[RunTrace, float]:
@@ -400,11 +395,3 @@ def pi3_experiment(
     steps = n_sites if global_steps is None else global_steps
     return run(config, steps, initial_state(config, {seed_site: KET_PLUS}), record)
 
-
-def assert_boundary_intact(trace: RunTrace, atol: float = 1e-10) -> None:
-    """Raise if any snapshot has boundary population outside |0>."""
-    for layer, state in trace.snapshots:
-        occ = occupation_probabilities(state)
-        for b in trace.config.boundary_labels:
-            if occ[b] > atol:
-                raise InvariantError(f"boundary qubit {b} left |0> at layer {layer}")

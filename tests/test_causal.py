@@ -15,7 +15,20 @@ from qcageom.causal import (
     slice_antichain,
     thicken,
 )
-from qcageom.qca import GateRecord, LayerRecord, PULSE_RULE, QcaConfig, RunTrace, run
+from qcageom.qca import (
+    KET0,
+    KET_PLUS,
+    PI3_RULE,
+    PULSE_RULE,
+    GateRecord,
+    LayerRecord,
+    QcaConfig,
+    RunTrace,
+    UpdateRule,
+    initial_state,
+    run,
+)
+from qcageom.statealg import partial_trace
 
 RNG = np.random.default_rng(3)
 
@@ -264,6 +277,65 @@ class TestThicken:
         poset = self._poset_two_layers()
         with pytest.raises(ValueError):
             thicken(poset, slice_antichain(poset, 0), -1)
+
+
+def random_qubit(rng) -> np.ndarray:
+    v = rng.normal(size=2) + 1j * rng.normal(size=2)
+    return v / np.linalg.norm(v)
+
+
+def random_unitary_2(rng) -> np.ndarray:
+    q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+class TestLightCone:
+    """Where a change to one seed qubit can show up in the evolved register.
+
+    The poset bounds the computational-basis populations of every wire.
+    It does not bound coherences: a controlled gate kicks a phase that
+    depends on its target back onto its controls, so whole single-site
+    states are bounded only by the cone of gate supports.
+    """
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("parity", ["odd", "even"])
+    def test_seed_change_stays_in_cone(self, n, parity):
+        rng = np.random.default_rng(1000 * n + len(parity))
+        rule = UpdateRule(*(random_unitary_2(rng) for _ in range(4)))
+        config = QcaConfig(n_sites=n, rule=rule, b_parity=parity)
+        seed = int(rng.integers(1, n + 1))
+        qubits = {site: random_qubit(rng) for site in config.register_sites}
+        a = run(config, 2, initial_state(config, qubits))
+        b = run(config, 2, initial_state(config, {**qubits, seed: random_qubit(rng)}))
+        poset = build_poset(a)
+        support = {seed}
+        outside_poset = 0
+        for (layer, sa), (_, sb) in zip(a.snapshots, b.snapshots):
+            if layer:
+                for g in a.layers[layer - 1].gates:
+                    if support & {g.target, *g.controls}:
+                        support = support | {g.target, *g.controls}
+            for x in config.register_sites:
+                ra, rb = partial_trace(sa, {x}).matrix, partial_trace(sb, {x}).matrix
+                if x not in support:
+                    assert np.max(np.abs(ra - rb)) <= 1e-12
+                if Wire(seed, 0) not in poset.ancestors(Wire(x, layer)):
+                    assert np.max(np.abs(np.diagonal(ra - rb))) <= 1e-12
+                    outside_poset += 1
+        assert outside_poset > 0
+
+    def test_coherence_kicked_back_onto_control(self):
+        # pi3 rule, N=2: site 1 is the target, site 2 (in |+>) its control.
+        config = QcaConfig(n_sites=2, rule=PI3_RULE)
+        rdms = []
+        for seed in (KET0, KET_PLUS):
+            trace = run(config, 1, initial_state(config, {1: seed, 2: KET_PLUS}))
+            rdms.append(partial_trace(trace.snapshot_at_layer(1), {2}).matrix)
+        poset = build_poset(trace)
+        assert Wire(1, 0) not in poset.ancestors(Wire(2, 1))
+        assert np.allclose(np.diagonal(rdms[0]), np.diagonal(rdms[1]), atol=1e-12)
+        assert abs(rdms[0][0, 1] - rdms[1][0, 1]) > 0.1
 
 
 class TestExport:

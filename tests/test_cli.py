@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -130,6 +132,12 @@ class TestRunPi3:
                        "--out", tmp_path / "d")
         assert code == 2
 
+    def test_site_cap(self, tmp_path):
+        code = run_cli("run", "--experiment", "pi3", "--n-sites", 17, "--seed-site", 8,
+                       "--out", tmp_path / "d17")
+        assert code == 2
+        assert not (tmp_path / "d17").exists()
+
 
 class TestSweepCommands:
     def test_werner_endpoints_and_crossing(self, tmp_path, capsys):
@@ -193,12 +201,32 @@ class TestDistanceMatrixCommand:
             (tmp_path / "dm0" / "distance_matrix.csv").read_text())
         assert np.max(np.abs(vals)) <= 1e-12
 
-    def test_bad_step_exit_2(self, tmp_path):
+    @pytest.mark.parametrize("step", [99, -1])
+    def test_bad_step_exit_2(self, tmp_path, step):
         run_cli("run", "--experiment", "ghz", "--n-sites", 4, "--out", tmp_path / "g")
         code = run_cli("distance-matrix", "--trace", tmp_path / "g" / "trace.json",
-                       "--step", 99, "--out", tmp_path / "dm3")
+                       "--step", step, "--out", tmp_path / "dm3")
         assert code == 2
         assert not (tmp_path / "dm3").exists()
+
+    def test_v1_trace(self, tmp_path, as_v1, capsys):
+        run_cli("run", "--experiment", "pi3", "--n-sites", 6, "--seed-site", 3,
+                "--steps", 3, "--out", tmp_path / "r")
+        obj = json.loads((tmp_path / "r" / "trace.json").read_text())
+        (tmp_path / "v1.json").write_text(json.dumps(as_v1(obj)))
+        for trace, out in (("r/trace.json", "dm2"), ("v1.json", "dm1")):
+            code = run_cli("distance-matrix", "--trace", tmp_path / trace, "--step", 4,
+                           "--include-boundary", "--out", tmp_path / out)
+            assert code == 0
+        for f in ("distance_matrix.csv", "distance_matrix.json", "block_report.json"):
+            assert (tmp_path / "dm2" / f).read_bytes() == (tmp_path / "dm1" / f).read_bytes()
+        excited = as_v1(obj, right=np.array([0.6, 0.8]))
+        (tmp_path / "bad.json").write_text(json.dumps(excited))
+        code = run_cli("distance-matrix", "--trace", tmp_path / "bad.json", "--step", 0,
+                       "--out", tmp_path / "dm5")
+        assert code == 2
+        assert "boundary qubit" in capsys.readouterr().err
+        assert not (tmp_path / "dm5").exists()
 
     def test_corrupt_snapshot_exit_3(self, tmp_path):
         run_cli("run", "--experiment", "ghz", "--n-sites", 4, "--out", tmp_path / "g")
@@ -230,6 +258,17 @@ class TestTopologyCommands:
         filt = (tmp_path / "t" / "betti_filtration.csv").read_text().splitlines()
         assert filt[0].startswith("thickness,b0")
         assert (tmp_path / "t" / "poset.json").exists()
+
+    def test_run_topology_trace_has_no_snapshots(self, tmp_path):
+        run_cli("run", "--experiment", "topology", "--n-sites", 6,
+                "--thickness", 4, "--out", tmp_path / "t")
+        obj = json.loads((tmp_path / "t" / "trace.json").read_text())
+        assert "snapshots" not in obj
+        code = run_cli("topology", "--trace", tmp_path / "t" / "trace.json",
+                       "--i-max", 4, "--out", tmp_path / "t2")
+        assert code == 0
+        for name in ("stable.json", "betti_filtration.csv"):
+            assert (tmp_path / "t" / name).read_bytes() == (tmp_path / "t2" / name).read_bytes()
 
     def test_topology_from_trace(self, tmp_path):
         run_cli("run", "--experiment", "pi3", "--n-sites", 6, "--seed-site", 3,
@@ -273,6 +312,18 @@ class TestTraceInputErrors:
         assert "missing key 'config'" in capsys.readouterr().err
         assert not (tmp_path / "t").exists()
 
+    def test_fractional_layer_index_exit_2(self, tmp_path, capsys):
+        run_cli("run", "--experiment", "pi3", "--n-sites", 6, "--seed-site", 3,
+                "--steps", 2, "--out", tmp_path / "r")
+        path = tmp_path / "r" / "trace.json"
+        obj = json.loads(path.read_text())
+        obj["layers"][0]["index"] = 1.5
+        path.write_text(json.dumps(obj))
+        code = run_cli("topology", "--trace", path, "--out", tmp_path / "t")
+        assert code == 2
+        assert "layer index 1.5" in capsys.readouterr().err
+        assert not (tmp_path / "t").exists()
+
     @pytest.mark.parametrize("text", [
         "[]", "{", '{"format": "qcageom-trace-v1", "config": 3}',
     ])
@@ -293,3 +344,18 @@ class TestOutputs:
         assert (tmp_path / "o" / "x.json").exists()
         out.discard()
         assert not (tmp_path / "o").exists()
+
+
+def readme_cli_commands() -> list[list[str]]:
+    """Argument lists of the `qcageom ...` lines in README's CLI block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("qcageom ")]
+
+
+def test_readme_cli_examples(tmp_path, monkeypatch, capsys):
+    commands = readme_cli_commands()
+    assert len(commands) >= 8
+    monkeypatch.chdir(tmp_path)  # the examples write under out/
+    for argv in commands:
+        assert main(argv) == 0, " ".join(argv)

@@ -96,6 +96,8 @@ class TestTraceRoundtrip:
         config = QcaConfig(n_sites=4, rule=PI3_RULE)
         trace = run(config, 2, initial_state(config, {2: KET_PLUS}))
         obj = exports.trace_to_json_obj(trace)
+        assert obj["format"] == "qcageom-trace-v2"
+        assert obj["labels"] == [1, 2, 3, 4]
         back = exports.trace_from_json_obj(json.loads(exports.json_dumps(obj)))
         assert back.config.n_sites == 4
         assert back.config.b_parity == "odd"
@@ -131,13 +133,53 @@ class TestTraceRoundtrip:
         lambda o: o["layers"][0].__setitem__("gates", [{"target": 1}]),
         lambda o: o["snapshots"][0].__setitem__("amplitudes_b64", 5),
         lambda o: o["config"]["rule"].__setitem__("unitaries", [[1, 2]]),
+        lambda o: o["layers"][0].__setitem__("index", 1.5),
+        lambda o: o["layers"][0].__setitem__("index", True),
+        lambda o: o["layers"][1].__setitem__("index", 1),
+        lambda o: o["layers"][0]["gates"][0].__setitem__("target", 0),
+        lambda o: o["layers"][0]["gates"][0].__setitem__("target", 7),
+        lambda o: o["layers"][0]["gates"][0].__setitem__("controls", [5]),
+        lambda o: o["layers"][0]["gates"][0].__setitem__("controls", [2.0]),
+        lambda o: o["layers"][0]["gates"][0].__setitem__("kind", "swap"),
+        lambda o: o["layers"][0].__setitem__("species", "Z"),
+        lambda o: o.__setitem__("granularity", "whatever"),
+        lambda o: o["snapshots"][1].__setitem__("layer", 99),
+        lambda o: o["snapshots"][1].__setitem__("layer", 0),
+        lambda o: o["snapshots"][2].__setitem__("layer", 1),
+        lambda o: o["config"].__setitem__("n_sites", 6.0),
+        lambda o: o.__setitem__("labels", list(range(8))),
     ])
     def test_malformed_fields_raise_value_error(self, mangle):
-        config = QcaConfig(n_sites=2, rule=PI3_RULE)
+        config = QcaConfig(n_sites=6, rule=PI3_RULE)
         obj = json.loads(exports.json_dumps(exports.trace_to_json_obj(run(config, 1))))
         mangle(obj)
         with pytest.raises(ValueError):
             exports.trace_from_json_obj(obj)
+
+    def test_v1_reads_as_register_states(self, as_v1):
+        config = QcaConfig(n_sites=4, rule=PI3_RULE)
+        trace = run(config, 2, initial_state(config, {2: KET_PLUS}))
+        obj = json.loads(exports.json_dumps(exports.trace_to_json_obj(trace)))
+        back = exports.trace_from_json_obj(as_v1(obj))
+        assert back.config.labels == (0, 1, 2, 3, 4, 5)
+        for (l1, s1), (l2, s2) in zip(trace.snapshots, back.snapshots):
+            assert l1 == l2
+            assert s2.labels == (1, 2, 3, 4)
+            assert np.array_equal(s1.amplitudes, s2.amplitudes)
+        v1 = as_v1(obj)
+        v1["labels"] = [1, 2, 3, 4]
+        with pytest.raises(ValueError):
+            exports.trace_from_json_obj(v1)
+
+    def test_v1_excited_ancilla_rejected(self, as_v1):
+        config = QcaConfig(n_sites=4, rule=PI3_RULE)
+        obj = exports.trace_to_json_obj(run(config, 1, initial_state(config, {2: KET_PLUS})))
+        tilt = np.array([math.sqrt(1 - 1e-9), math.sqrt(1e-9)])
+        for bad in (dict(left=tilt), dict(right=tilt), dict(left=np.array([1.0, math.nan]))):
+            with pytest.raises(ValueError, match="boundary qubit"):
+                exports.trace_from_json_obj(as_v1(obj, **bad))
+        tiny = np.array([math.sqrt(1 - 1e-12), math.sqrt(1e-12)])
+        assert len(exports.trace_from_json_obj(as_v1(obj, left=tiny)).snapshots) == 3
 
     def test_load_missing_file_raises_value_error(self, tmp_path):
         with pytest.raises(ValueError):

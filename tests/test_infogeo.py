@@ -159,6 +159,30 @@ class TestDistanceField:
                                  include_boundary=True, boundary_labels=(0, 3))
         assert field_b.labels == (0, 1, 2, 3)
 
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_virtual_boundary_matches_stored_ancillae(self, n):
+        """Boundary labels absent from the state act as stored |0> qubits."""
+        register = random_state(n)
+        register = StateVector(register.amplitudes, tuple(range(1, n + 1)))
+        zero = basis_state("0", labels=(0,))
+        stored = tensor(tensor(zero, register), basis_state("0", labels=(n + 1,)))
+        explicit = [(0, n + 1), (n + 1, 1), (1, n)]
+        for pairs in ("all_pairs", "nearest_neighbor", explicit):
+            for include_boundary in (False, True):
+                kwargs = dict(pairs=pairs, include_boundary=include_boundary,
+                              boundary_labels=(0, n + 1))
+                if pairs is explicit and not include_boundary:
+                    continue
+                virtual = distance_field(register, **kwargs)
+                want = distance_field(stored, **kwargs)
+                assert virtual.labels == want.labels
+                assert np.allclose(virtual.values, want.values, atol=1e-12, equal_nan=True)
+        field = distance_field(register, include_boundary=True, boundary_labels=(0, n + 1))
+        ent = site_entropies(register)
+        assert field.value(0, n + 1) == 0.0
+        for x in range(1, n + 1):
+            assert field.value(0, x) == field.value(n + 1, x) == ent[x]
+
     def test_nearest_neighbor_mode(self):
         field = distance_field(random_state(4), pairs="nearest_neighbor")
         assert field.computed_pairs() == [(0, 1), (1, 2), (2, 3)]

@@ -9,11 +9,11 @@ import pytest
 from qcageom.qca import (
     PI3_RULE,
     PULSE_RULE,
+    KET0,
     KET1,
     KET_PLUS,
     QcaConfig,
     UpdateRule,
-    assert_boundary_intact,
     ghz_experiment,
     ghz_vector,
     global_update,
@@ -54,9 +54,9 @@ def random_rule() -> UpdateRule:
 
 
 def random_register_state(config: QcaConfig) -> StateVector:
-    dim = 1 << (config.n_sites + 2)
+    dim = 1 << config.n_sites
     amps = RNG.normal(size=dim) + 1j * RNG.normal(size=dim)
-    return StateVector(amps / np.linalg.norm(amps), config.labels)
+    return StateVector(amps / np.linalg.norm(amps), config.register_sites)
 
 
 # ---------------------------------------------------------------- oracles
@@ -92,6 +92,18 @@ def dense_layer_matrix(config: QcaConfig, species: str) -> np.ndarray:
     for site in config.species_sites(species):
         m = embedded_site_matrix(config.rule, site, config.n_sites) @ m
     return m
+
+
+def with_ancillae(state: StateVector) -> np.ndarray:
+    """|0> (x) psi (x) |0>: a register state on the oracles' N+2 qubits."""
+    return np.kron(np.kron(KET0, state.amplitudes), KET0)
+
+
+def register_part(amps: np.ndarray) -> np.ndarray:
+    """Register amplitudes of an (N+2)-qubit vector; its ancillae must hold exactly |0>."""
+    psi = amps.reshape(2, -1, 2)
+    assert not psi[1].any() and not psi[:, :, 1].any()
+    return psi[0, :, 0]
 
 
 # ---------------------------------------------------------------- rules
@@ -175,8 +187,8 @@ class TestSpeciesUpdate:
         config = QcaConfig(n_sites=2, rule=PULSE_RULE, b_parity="even")
         state = initial_state(config, {1: KET1})
         out = species_update(state, config, "B")
-        oracle = dense_layer_matrix(config, "B") @ state.amplitudes
-        assert np.allclose(out.amplitudes, oracle, atol=1e-12)
+        oracle = dense_layer_matrix(config, "B") @ with_ancillae(state)
+        assert np.allclose(out.amplitudes, register_part(oracle), atol=1e-12)
         occ = occupation_probabilities(out)
         assert occ[2] == pytest.approx(1.0, abs=1e-12)
 
@@ -184,7 +196,7 @@ class TestSpeciesUpdate:
         rule = UpdateRule(I2, X, X, I2)
         config = QcaConfig(n_sites=5, rule=rule)
         for bits in ("10010", "01101", "00000"):
-            state = basis_state("0" + bits + "0", labels=config.labels)
+            state = basis_state(bits, labels=config.register_sites)
             once = species_update(state, config, "A")
             twice = species_update(once, config, "A")
             assert np.allclose(twice.amplitudes, state.amplitudes, atol=1e-12)
@@ -209,6 +221,40 @@ class TestSpeciesUpdate:
         config = QcaConfig(n_sites=4, rule=PULSE_RULE)
         with pytest.raises(ValueError):
             species_update(basis_state("0000"), config, "B")
+        with pytest.raises(ValueError):
+            species_update(basis_state("000000", labels=config.labels), config, "B")
+
+
+class TestRegisterOnlyState:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("parity", ["odd", "even"])
+    @pytest.mark.parametrize("species", ["A", "B"])
+    def test_matches_ancilla_oracle(self, n, parity, species):
+        """Evolving without the ancillae equals the (N+2)-qubit oracle on |0>psi|0>."""
+        config = QcaConfig(n_sites=n, rule=random_rule(), b_parity=parity)
+        state = random_register_state(config)
+        out = species_update(state, config, species)
+        oracle = dense_layer_matrix(config, species) @ with_ancillae(state)
+        assert np.max(np.abs(out.amplitudes - register_part(oracle))) <= 1e-12
+
+    def test_labels_and_sizes(self):
+        config = QcaConfig(n_sites=5, rule=PI3_RULE)
+        assert initial_state(config).labels == config.register_sites
+        trace = run(config, 2, initial_state(config, {3: KET_PLUS}))
+        for _, state in trace.snapshots:
+            assert state.labels == config.register_sites
+            assert state.amplitudes.size == 1 << 5
+
+    def test_site_cap(self):
+        assert QcaConfig(n_sites=16, rule=PULSE_RULE).n_sites == 16
+        with pytest.raises(ValueError):
+            QcaConfig(n_sites=17, rule=PULSE_RULE)
+
+    def test_pi3_n16_runs(self):
+        trace = pi3_experiment(16, 8, 1)
+        final = trace.snapshots[-1][1]
+        assert final.amplitudes.size == 1 << 16
+        assert abs(np.vdot(final.amplitudes, final.amplitudes).real - 1) <= 1e-10
 
 
 class TestGlobalUpdate:
@@ -224,7 +270,8 @@ class TestGlobalUpdate:
             state = random_register_state(config)
             dense = dense_layer_matrix(config, "A") @ dense_layer_matrix(config, "B")
             out = global_update(state, config)
-            assert np.max(np.abs(out.amplitudes - dense @ state.amplitudes)) <= 1e-10
+            oracle = register_part(dense @ with_ancillae(state))
+            assert np.max(np.abs(out.amplitudes - oracle)) <= 1e-10
 
     @pytest.mark.parametrize("parity", ["odd", "even"])
     def test_pulse_keeps_basis_seeds_in_one_component(self, parity):
@@ -269,10 +316,6 @@ class TestRun:
         for (l1, s1), (l2, s2) in zip(t1.snapshots, t2.snapshots):
             assert l1 == l2
             assert np.array_equal(s1.amplitudes, s2.amplitudes)
-
-    def test_boundary_never_touched(self):
-        trace = pi3_experiment(6, 3, 4)
-        assert_boundary_intact(trace)
 
     def test_norm_every_layer(self):
         trace = pi3_experiment(6, 2, 4)
@@ -368,13 +411,14 @@ class TestGhz:
         config = QcaConfig(n_sites=4, rule=PULSE_RULE, b_parity="odd")
         state = initial_state(config, {2: KET_PLUS})
         dense = dense_layer_matrix(config, "A") @ dense_layer_matrix(config, "B")
-        amps = dense @ state.amplitudes
+        amps = dense @ with_ancillae(state)
         # phase correction exp(-i pi/4 sigma_z) on site 2 (k = 1)
         corr = np.diag([np.exp(-1j * math.pi / 4), np.exp(1j * math.pi / 4)])
         oracle = apply_unitary(StateVector(amps, config.labels), corr, (2,))
+        register = StateVector(register_part(oracle.amplitudes), config.register_sites)
         trace, fid = ghz_experiment(4)
-        assert np.max(np.abs(trace.snapshots[-1][1].amplitudes - oracle.amplitudes)) <= 1e-10
-        assert fidelity(oracle, ghz_vector(4, config)) == pytest.approx(1.0, abs=1e-12)
+        assert np.max(np.abs(trace.snapshots[-1][1].amplitudes - register.amplitudes)) <= 1e-10
+        assert fidelity(register, ghz_vector(4, config)) == pytest.approx(1.0, abs=1e-12)
         assert fid >= 1 - 1e-9
 
     def test_rejects_bad_n(self):
