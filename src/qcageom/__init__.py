@@ -42,7 +42,6 @@ from .qca import (
     pi3_experiment,
     propagate_experiment,
     run,
-    site_update_unitary,
     species_update,
     x_pulse_rule,
 )

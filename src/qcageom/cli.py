@@ -154,7 +154,7 @@ def _cmd_run(args, out: _Outputs) -> int:
         if args.n_sites is None:
             raise ValueError("ghz needs --n-sites")
         trace, fid = qca.ghz_experiment(args.n_sites)
-        seed = args.n_sites // 2 if args.n_sites % 4 == 0 else args.n_sites // 2 + 1
+        seed = qca.ghz_seed_site(args.n_sites)
         _write_site_series(out, trace, "p1", qca.occupation_probabilities, args.pgm)
         fields = _write_distance_outputs(out, trace, args.pairs, args.include_boundary, args.pgm)
         if args.pairs != "all_pairs" or args.include_boundary:
@@ -184,16 +184,14 @@ def _cmd_run(args, out: _Outputs) -> int:
         _maybe_save_trace(out, trace, args)
         return _emit_topology(out, trace, slice_layer=0, i_max=args.thickness,
                               simplify=args.controlled_simplification)
-    if args.experiment in ("werner", "pure_family"):
-        return _emit_sweep(out, args.experiment, args.samples, args.pgm)
     raise ValueError(f"unknown experiment {args.experiment!r}")
 
 
-def _emit_sweep(out: _Outputs, family: str, samples: int, pgm: bool) -> int:
-    if samples < 2:
+def _cmd_sweep(args, out: _Outputs) -> int:
+    if args.samples < 2:
         raise ValueError("need at least 2 samples")
-    grid = [i / (samples - 1) for i in range(samples)]
-    if family == "werner":
+    grid = [i / (args.samples - 1) for i in range(args.samples)]
+    if args.family == "werner":
         curve = infogeo.werner_sweep(grid)
         out.write_text("werner.csv", exports.sweep_csv(curve))
         z_star = infogeo.werner_null_crossing()
@@ -206,8 +204,8 @@ def _emit_sweep(out: _Outputs, family: str, samples: int, pgm: bool) -> int:
     else:
         curve = infogeo.pure_family_sweep(grid)
         out.write_text("pure_family.csv", exports.sweep_csv(curve))
-    if pgm:
-        out.write_pgm(f"{family}.pgm", np.array([list(curve.values)]))
+    if args.pgm:
+        out.write_pgm(f"{args.family}.pgm", np.array([list(curve.values)]))
     return 0
 
 
@@ -234,10 +232,6 @@ def _emit_topology(out: _Outputs, trace: qca.RunTrace, slice_layer: int,
     else:
         print(f"t_star=none ({result.note})")
     return 0
-
-
-def _cmd_sweep(args, out: _Outputs) -> int:
-    return _emit_sweep(out, args.family, args.samples, args.pgm)
 
 
 def _cmd_distance_matrix(args, out: _Outputs) -> int:
@@ -272,13 +266,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run a named experiment and export its data files")
     run.add_argument("--experiment", required=True,
-                     choices=["propagate", "ghz", "pi3", "topology", "werner", "pure_family"])
+                     choices=["propagate", "ghz", "pi3", "topology"])
     run.add_argument("--out", required=True, type=Path)
     run.add_argument("--n-sites", type=int)
     run.add_argument("--steps", type=int)
     run.add_argument("--psi", default="1,0", help='seed qubit "re+imi,re+imi" (propagate)')
     run.add_argument("--seed-site", type=int, help="seed site (pi3)")
-    run.add_argument("--samples", type=int, default=101, help="grid size (werner/pure_family)")
     run.add_argument("--thickness", type=int, default=4, help="max thickness (topology)")
     run.add_argument("--pairs", choices=["nearest_neighbor", "all_pairs"],
                      default="nearest_neighbor")

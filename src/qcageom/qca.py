@@ -5,11 +5,14 @@ positions 0 and N+1 that are pinned to |0> and never targeted.  Sites are
 split into two species by parity; one global update applies the rule to
 every B site, then to every A site.  Each site update is a
 multiply-controlled unitary: the single-qubit operator u_c acts on the
-site, with c = 2*(left neighbor bit) + (right neighbor bit).  At the
-chain ends the pinned ancillae reduce this to two-qubit gates keyed on
-the interior neighbor alone (u0/u1 at site 1, u0/u2 at site N).
+site, with c = 2*(left neighbor bit) + (right neighbor bit).
 The ancillae carry no information, so states hold only the register;
 the boundary stays in `QcaConfig.labels`, the wires of the causal poset.
+A gate record lists the target's register neighbors as its controls, and
+one kernel applies every record: a neighbor that is not a control reads
+as bit 0, so site 1 applies u0/u1 by its right bit and site N u0/u2 by
+its left bit.  `run` evolves each species layer through the gate records
+it stores, so the causal poset is built from the gates that were applied.
 """
 from __future__ import annotations
 
@@ -19,9 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .statealg import (
+    ATOL,
     IDENTITY_2,
     MAX_QUBITS,
     PAULI_X,
+    InvariantError,
     StateVector,
     apply_unitary,
     fidelity,
@@ -173,49 +178,51 @@ class RunTrace:
         raise ValueError(f"no snapshot recorded at layer {layer}")
 
 
-def site_update_unitary(rule: UpdateRule, site: int, n_sites: int) -> np.ndarray:
-    """Matrix of one site update.
-
-    Interior sites get the 8x8 gate on (left, site, right); the basis
-    index is 4*left + 2*site + right.  Site 1 gets the 4x4 gate on
-    (site, right) applying u0/u1 by the right bit; site N the 4x4 on
-    (left, site) applying u0/u2 by the left bit.
-    """
-    if not 1 <= site <= n_sites:
-        raise ValueError(f"site {site} out of range 1..{n_sites}")
-    u = rule.unitaries
-    if site == 1:
-        m = np.zeros((4, 4), dtype=complex)
-        for r in (0, 1):
-            m[np.ix_([r, 2 + r], [r, 2 + r])] = u[r]
-        return m
-    if site == n_sites:
-        m = np.zeros((4, 4), dtype=complex)
-        for l in (0, 1):
-            m[np.ix_([2 * l, 2 * l + 1], [2 * l, 2 * l + 1])] = u[2 * l]
-        return m
-    m = np.zeros((8, 8), dtype=complex)
-    for l in (0, 1):
-        for r in (0, 1):
-            rows = [4 * l + r, 4 * l + 2 + r]
-            m[np.ix_(rows, rows)] = u[2 * l + r]
-    return m
-
-
-def _gate_targets(site: int, n_sites: int) -> tuple[int, ...]:
-    if site == 1:
-        return (1, 2)
-    if site == n_sites:
-        return (n_sites - 1, n_sites)
-    return (site - 1, site, site + 1)
-
-
 def _control_sites(site: int, n_sites: int) -> tuple[int, ...]:
     if site == 1:
         return (2,)
     if site == n_sites:
         return (n_sites - 1,)
     return (site - 1, site + 1)
+
+
+def _species_gates(config: QcaConfig, species: str) -> tuple[GateRecord, ...]:
+    return tuple(
+        GateRecord(target=s, controls=_control_sites(s, config.n_sites))
+        for s in config.species_sites(species)
+    )
+
+
+def _controlled_update(psi: np.ndarray, coef: np.ndarray, gate: GateRecord) -> np.ndarray:
+    """Apply u_{2l+r} to `gate.target` of the register amplitudes `psi`.
+
+    l and r are the bits of the target's left and right neighbors, read
+    only where the neighbor is one of `gate.controls`.  A neighbor that is
+    not a control is the virtual |0> ancilla: a length-1 axis holding bit
+    0.  `coef[s, l, o, r]` is u_{2l+r}[o, s].  Raises InvariantError when
+    norm^2 drifts by more than ATOL.
+    """
+    t = gate.target
+    left = 2 if t - 1 in gate.controls else 1
+    right = 2 if t + 1 in gate.controls else 1
+    v = psi.reshape(1 << (t - left), left, 2, right, -1)
+    c = coef[:, :left, :, :right, None]
+    # 0.0 + turns a zero product's -0.0 into +0.0, as a matrix product writes it
+    out = (0.0 + c[0] * v[:, :, :1] + c[1] * v[:, :, 1:]).reshape(-1)
+    norm = float(np.vdot(out, out).real)
+    if abs(norm - 1.0) > ATOL:
+        raise InvariantError(f"unitary application drifted norm^2 to {norm!r}")
+    return out
+
+
+def _apply_gates(state: StateVector, rule: UpdateRule,
+                 gates: tuple[GateRecord, ...]) -> StateVector:
+    """Evolve a register state through rule gate records, in order."""
+    coef = np.array(rule.unitaries).reshape(2, 2, 2, 2).transpose(3, 0, 2, 1)
+    psi = state.amplitudes
+    for gate in gates:
+        psi = _controlled_update(psi, coef, gate)
+    return StateVector(psi, state.labels)
 
 
 def initial_state(config: QcaConfig, seeds: dict[int, np.ndarray] | None = None) -> StateVector:
@@ -242,23 +249,12 @@ def species_update(state: StateVector, config: QcaConfig, species: str) -> State
         raise ValueError("species must be 'A' or 'B'")
     if state.labels != config.register_sites:
         raise ValueError("state labels do not match the register")
-    for site in config.species_sites(species):
-        gate = site_update_unitary(config.rule, site, config.n_sites)
-        state = apply_unitary(state, gate, _gate_targets(site, config.n_sites))
-    return state
+    return _apply_gates(state, config.rule, _species_gates(config, species))
 
 
 def global_update(state: StateVector, config: QcaConfig) -> StateVector:
     """One global step: the B layer followed by the A layer."""
     return species_update(species_update(state, config, "B"), config, "A")
-
-
-def _species_layer_record(config: QcaConfig, index: int, species: str) -> LayerRecord:
-    gates = tuple(
-        GateRecord(target=s, controls=_control_sites(s, config.n_sites))
-        for s in config.species_sites(species)
-    )
-    return LayerRecord(index=index, species=species, gates=gates)
 
 
 def run(
@@ -281,8 +277,10 @@ def run(
     for _ in range(global_steps):
         for species in ("B", "A"):
             layer_idx += 1
-            layers.append(_species_layer_record(config, layer_idx, species))
-            state = species_update(state, config, species)
+            layer = LayerRecord(index=layer_idx, species=species,
+                                gates=_species_gates(config, species))
+            layers.append(layer)
+            state = _apply_gates(state, config.rule, layer.gates)
             if record == "per_species_layer":
                 snapshots.append((layer_idx, state))
         if record == "per_global_step":
@@ -291,18 +289,18 @@ def run(
                     layers=tuple(layers), snapshots=tuple(snapshots))
 
 
+def _with_layer(trace: RunTrace, layer: LayerRecord, state: StateVector) -> RunTrace:
+    """`trace` extended by one layer and the snapshot of `state` after it."""
+    return RunTrace(config=trace.config, granularity=trace.granularity,
+                    layers=trace.layers + (layer,),
+                    snapshots=trace.snapshots + ((layer.index, state),))
+
+
 def _append_phase_layer(trace: RunTrace, site: int, gate: np.ndarray) -> RunTrace:
     """Apply a single-qubit diagonal correction and record it as a layer."""
-    layer_idx = trace.n_layers + 1
-    state = trace.snapshots[-1][1]
-    state = apply_unitary(state, gate, (site,))
-    layers = trace.layers + (LayerRecord(
-        index=layer_idx, species="phase",
-        gates=(GateRecord(target=site, controls=(), kind="phase"),),
-    ),)
-    snapshots = trace.snapshots + ((layer_idx, state),)
-    return RunTrace(config=trace.config, granularity=trace.granularity,
-                    layers=layers, snapshots=snapshots)
+    layer = LayerRecord(index=trace.n_layers + 1, species="phase",
+                        gates=(GateRecord(target=site, controls=(), kind="phase"),))
+    return _with_layer(trace, layer, apply_unitary(trace.snapshots[-1][1], gate, (site,)))
 
 
 def occupation_probabilities(state: StateVector) -> dict[int, float]:
@@ -349,6 +347,11 @@ def ghz_vector(n_sites: int, config: QcaConfig) -> StateVector:
     return StateVector(amps, config.register_sites)
 
 
+def ghz_seed_site(n_sites: int) -> int:
+    """The site `ghz_experiment` seeds with |+>: N/2 if N mod 4 = 0, else N/2 + 1."""
+    return n_sites // 2 if n_sites % 4 == 0 else n_sites // 2 + 1
+
+
 def ghz_experiment(n_sites: int, record: str = "per_species_layer") -> tuple[RunTrace, float]:
     """Grow an N-qubit GHZ state from one |+> seed.
 
@@ -362,20 +365,18 @@ def ghz_experiment(n_sites: int, record: str = "per_species_layer") -> tuple[Run
     if n_sites % 2 != 0 or n_sites < 4:
         raise ValueError("GHZ generation requires even N >= 4")
     config = QcaConfig(n_sites=n_sites, rule=PULSE_RULE, b_parity="odd")
+    seed_site = ghz_seed_site(n_sites)
     if n_sites % 4 == 0:
-        seed_site, k, extra_b = n_sites // 2, n_sites // 4, False
+        k, extra_b = n_sites // 4, False
     else:
-        seed_site, k, extra_b = n_sites // 2 + 1, (n_sites - 2) // 4, True
+        k, extra_b = (n_sites - 2) // 4, True
     sign = (-1) ** k * (-1 if extra_b else 1)
     trace = run(config, k, initial_state(config, {seed_site: KET_PLUS}), record)
     if extra_b:
-        layer_idx = trace.n_layers + 1
-        state = species_update(trace.snapshots[-1][1], config, "B")
-        trace = RunTrace(
-            config=config, granularity=record,
-            layers=trace.layers + (_species_layer_record(config, layer_idx, "B"),),
-            snapshots=trace.snapshots + ((layer_idx, state),),
-        )
+        layer = LayerRecord(index=trace.n_layers + 1, species="B",
+                            gates=_species_gates(config, "B"))
+        trace = _with_layer(trace, layer,
+                            _apply_gates(trace.snapshots[-1][1], config.rule, layer.gates))
     correction = np.diag([np.exp(sign * 1j * math.pi / 4), np.exp(-sign * 1j * math.pi / 4)])
     trace = _append_phase_layer(trace, seed_site, correction)
     fid = fidelity(trace.snapshots[-1][1], ghz_vector(n_sites, config))

@@ -264,13 +264,10 @@ def _slice_sites(base: AntiChain) -> tuple[int, list[int]]:
 
 
 def _species_depth_above(poset: CausalPoset, base_layer: int) -> int:
-    depth = 0
-    for layer in range(base_layer + 1, poset.n_layers + 1):
-        gates = [g for g in poset.gates if g.layer == layer]
-        if any(g.kind == "phase" for g in gates):
-            break
-        depth += 1
-    return depth
+    """Number of layers above `base_layer` before the first phase layer."""
+    stop = min((g.layer for g in poset.gates if g.kind == "phase" and g.layer > base_layer),
+               default=poset.n_layers + 1)
+    return stop - base_layer - 1
 
 
 def unitary_shadow_complex(

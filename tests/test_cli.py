@@ -162,11 +162,13 @@ class TestSweepCommands:
         deltas = [float(l.split(",")[1]) for l in lines[2:]]
         assert all(d < -1e-6 for d in deltas)
 
-    def test_run_experiment_alias(self, tmp_path):
-        code = run_cli("run", "--experiment", "werner", "--samples", 21,
-                       "--out", tmp_path / "w2")
-        assert code == 0
-        assert (tmp_path / "w2" / "werner.csv").exists()
+    def test_run_has_no_sweep_experiments(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", "--experiment", "werner", "--out", tmp_path / "w2")
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'werner'" in err and "Traceback" not in err
+        assert not (tmp_path / "w2").exists()
 
 
 class TestDistanceMatrixCommand:

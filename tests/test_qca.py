@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from qcageom import qca
 from qcageom.qca import (
     PI3_RULE,
     PULSE_RULE,
@@ -22,13 +23,13 @@ from qcageom.qca import (
     pi3_experiment,
     propagate_experiment,
     run,
-    site_update_unitary,
     species_update,
     x_pulse_rule,
     x_rotation,
     z_rotation,
 )
 from qcageom.statealg import (
+    InvariantError,
     StateVector,
     apply_unitary,
     basis_state,
@@ -124,57 +125,6 @@ class TestUpdateRule:
         assert np.allclose(x_rotation(theta), expect)
 
 
-class TestSiteUpdateUnitary:
-    def test_identity_rule(self):
-        rule = UpdateRule(I2, I2, I2, I2)
-        assert np.allclose(site_update_unitary(rule, 2, 4), np.eye(8))
-        assert np.allclose(site_update_unitary(rule, 1, 4), np.eye(4))
-        assert np.allclose(site_update_unitary(rule, 4, 4), np.eye(4))
-
-    def test_u0_branch_leaves_site_alone(self):
-        m = site_update_unitary(PULSE_RULE, 2, 4)
-        # controls |00>: columns 0 (site 0) and 2 (site 1)
-        assert np.allclose(m[:, 0], np.eye(8)[:, 0])
-        assert np.allclose(m[:, 2], np.eye(8)[:, 2])
-
-    def test_interior_block_structure(self):
-        rule = random_rule()
-        m = site_update_unitary(rule, 2, 4)
-        for l in (0, 1):
-            for r in (0, 1):
-                rows = [4 * l + r, 4 * l + 2 + r]
-                assert np.allclose(m[np.ix_(rows, rows)], rule.unitaries[2 * l + r])
-
-    def test_interior_against_basis_oracle(self):
-        rule = random_rule()
-        m = site_update_unitary(rule, 2, 4)
-        for idx in range(8):
-            l, s, r = (idx >> 2) & 1, (idx >> 1) & 1, idx & 1
-            u = rule.unitaries[2 * l + r]
-            expect = np.zeros(8, dtype=complex)
-            for out in (0, 1):
-                expect[(l << 2) | (out << 1) | r] = u[out, s]
-            assert np.allclose(m[:, idx], expect)
-
-    def test_boundary_reductions(self):
-        rule = random_rule()
-        m1 = site_update_unitary(rule, 1, 6)
-        # basis (site, right): right bit selects u0/u1
-        for r in (0, 1):
-            rows = [r, 2 + r]
-            assert np.allclose(m1[np.ix_(rows, rows)], rule.unitaries[r])
-        mn = site_update_unitary(rule, 6, 6)
-        for l in (0, 1):
-            rows = [2 * l, 2 * l + 1]
-            assert np.allclose(mn[np.ix_(rows, rows)], rule.unitaries[2 * l])
-
-    def test_site_range(self):
-        with pytest.raises(ValueError):
-            site_update_unitary(PULSE_RULE, 0, 4)
-        with pytest.raises(ValueError):
-            site_update_unitary(PULSE_RULE, 5, 4)
-
-
 class TestSpeciesUpdate:
     def test_all_zero_register_fixed(self):
         config = QcaConfig(n_sites=4, rule=PULSE_RULE)
@@ -202,20 +152,32 @@ class TestSpeciesUpdate:
             assert np.allclose(twice.amplitudes, state.amplitudes, atol=1e-12)
 
     def test_same_species_order_independent(self):
-        config = QcaConfig(n_sites=6, rule=random_rule())
-        state = random_register_state(config)
-        forward = species_update(state, config, "B")
-        backward = state
-        for site in reversed(config.species_sites("B")):
-            gate = site_update_unitary(config.rule, site, config.n_sites)
-            if site == 1:
-                targets = (1, 2)
-            elif site == config.n_sites:
-                targets = (config.n_sites - 1, config.n_sites)
-            else:
-                targets = (site - 1, site, site + 1)
-            backward = apply_unitary(backward, gate, targets)
-        assert np.max(np.abs(forward.amplitudes - backward.amplitudes)) <= 1e-10
+        """The oracle's site gates applied in reverse order give the same layer."""
+        for n in range(2, 9):
+            for parity in ("odd", "even"):
+                config = QcaConfig(n_sites=n, rule=random_rule(), b_parity=parity)
+                state = random_register_state(config)
+                for species in ("A", "B"):
+                    forward = species_update(state, config, species)
+                    backward = with_ancillae(state)
+                    for site in reversed(config.species_sites(species)):
+                        backward = embedded_site_matrix(config.rule, site, n) @ backward
+                    err = np.max(np.abs(forward.amplitudes - register_part(backward)))
+                    assert err <= 1e-12, (n, parity, species)
+
+    def test_random_rules_keep_the_norm(self):
+        for n in (3, 6, 9):
+            config = QcaConfig(n_sites=n, rule=random_rule())
+            trace = run(config, 5, random_register_state(config))
+            for _, state in trace.snapshots:
+                assert abs(np.vdot(state.amplitudes, state.amplitudes).real - 1) <= 1e-12
+
+    def test_gate_norm_drift_raises(self):
+        rule = random_rule()
+        object.__setattr__(rule, "u3", 2 * I2)
+        config = QcaConfig(n_sites=4, rule=rule)
+        with pytest.raises(InvariantError, match="drifted norm"):
+            species_update(random_register_state(config), config, "B")
 
     def test_dimension_mismatch(self):
         config = QcaConfig(n_sites=4, rule=PULSE_RULE)
@@ -308,6 +270,20 @@ class TestRun:
         assert by_target[1].controls == (2,)
         assert by_target[3].controls == (2, 4)
 
+    def test_layers_evolve_through_their_records(self, monkeypatch):
+        applied = []
+        kernel = qca._controlled_update
+
+        def spy(psi, coef, gate):
+            applied.append(gate)
+            return kernel(psi, coef, gate)
+
+        monkeypatch.setattr(qca, "_controlled_update", spy)
+        trace, _ = ghz_experiment(6)  # two run layers, the extra B layer, a phase layer
+        recorded = [g for layer in trace.layers if layer.species != "phase" for g in layer.gates]
+        assert len(applied) == len(recorded) == 9
+        assert all(a is r for a, r in zip(applied, recorded))
+
     def test_determinism_bit_exact(self):
         config = QcaConfig(n_sites=6, rule=PI3_RULE)
         initial = initial_state(config, {3: KET_PLUS})
@@ -316,6 +292,13 @@ class TestRun:
         for (l1, s1), (l2, s2) in zip(t1.snapshots, t2.snapshots):
             assert l1 == l2
             assert np.array_equal(s1.amplitudes, s2.amplitudes)
+
+    def test_zero_amplitudes_are_positive_zero(self):
+        """Saved traces encode +0.0, as a matrix product writes it, never -0.0."""
+        for seed_site in (1, 3, 6):
+            for _, state in pi3_experiment(6, seed_site, 4).snapshots:
+                parts = state.amplitudes.view(float)
+                assert not np.any(np.signbit(parts[parts == 0.0]))
 
     def test_norm_every_layer(self):
         trace = pi3_experiment(6, 2, 4)

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from qcageom.causal import CausalPoset, Gate, Wire, build_poset, slice_antichain
-from qcageom.qca import GateRecord, LayerRecord, PULSE_RULE, QcaConfig, RunTrace, run
+from qcageom.qca import (
+    GateRecord, LayerRecord, PULSE_RULE, QcaConfig, RunTrace, ghz_experiment, run,
+)
 from qcageom.topo import (
     SimplicialComplex,
     _strong_collapse_core,
@@ -299,6 +301,17 @@ class TestUnitaryShadowComplex:
         base = slice_antichain(poset, 0)
         with pytest.raises(ValueError):
             unitary_shadow_complex(poset, base, 2)
+
+    def test_phase_layer_bounds_depth(self):
+        # GHZ N=10: species layers 1..5, the phase correction at layer 6
+        poset = build_poset(ghz_experiment(10)[0])
+        for base_layer, available in ((0, 5), (1, 4), (4, 1), (5, 0), (6, 0)):
+            base = slice_antichain(poset, base_layer)
+            thickness = available // 2 + 1
+            with pytest.raises(ValueError, match=f"only {available} available"):
+                unitary_shadow_complex(poset, base, thickness)
+        result = stable_complex(poset, slice_antichain(poset, 0), 4)
+        assert [t for t, _ in result.filtration] == [1, 2]
 
     def test_mid_slice_base(self):
         config = QcaConfig(n_sites=4, rule=PULSE_RULE)
