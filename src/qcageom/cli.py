@@ -1,13 +1,19 @@
 """Command-line experiment runner and exporter.
 
-Subcommands: run, sweep, distance-matrix, topology.  Exit codes: 0 on
-success, 2 on a bad experiment spec, 3 when a numerical invariant fails
-mid-run.  On failure every partially written output file is removed.
+Subcommands: run, sweep, distance-matrix, topology.  Every `run`
+experiment needs --n-sites.  The propagate, ghz and pi3 experiments share
+one flow: evolve, write the per-site series (p1, or entropy for pi3) and
+the distance fields, add the GHZ block reports, save the trace, and only
+then check the fidelity, so a failed check discards every written file.
+
+Exit codes: 0 on success; 2 on a bad experiment spec (a non-finite or
+zero --psi among them) or an --out that cannot be created or written; 3
+when a numerical invariant fails mid-run.  On failure every partially
+written output file is removed.
 """
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -16,7 +22,7 @@ import numpy as np
 from . import causal, exports, infogeo, qca, topo
 from .statealg import InvariantError
 
-GHZ_FIDELITY_TOL = 1e-9
+FIDELITY_TOL = 1e-9
 
 
 class _Outputs:
@@ -66,16 +72,13 @@ def parse_qubit_literal(text: str) -> np.ndarray:
         raise ValueError("qubit state needs two comma-separated amplitudes")
     amps = []
     for p in parts:
-        p = p.strip().replace("i", "j") or "0"
+        p = p.strip() or "0"
         try:
-            amps.append(complex(p))
+            # only a final i is the imaginary unit: "inf" and "nan" hold an i too
+            amps.append(complex(p[:-1] + "j" if p.endswith("i") else p))
         except ValueError:
             raise ValueError(f"bad complex literal {p!r}") from None
-    v = np.array(amps, dtype=complex)
-    norm = math.sqrt(float(np.vdot(v, v).real))
-    if norm == 0.0:
-        raise ValueError("qubit state must be nonzero")
-    return v / norm
+    return qca.unit_qubit(amps)
 
 
 def _pair_columns(labels):
@@ -138,53 +141,37 @@ def _maybe_save_trace(out: _Outputs, trace: qca.RunTrace, args) -> None:
 
 
 def _cmd_run(args, out: _Outputs) -> int:
-    if args.experiment == "propagate":
-        if args.n_sites is None:
-            raise ValueError("propagate needs --n-sites")
-        psi = parse_qubit_literal(args.psi)
-        trace, fid = qca.propagate_experiment(args.n_sites, psi)
-        _write_site_series(out, trace, "p1", qca.occupation_probabilities, args.pgm)
-        _write_distance_outputs(out, trace, args.pairs, args.include_boundary, args.pgm)
+    if args.experiment == "topology":
+        steps = args.steps if args.steps is not None else max(args.thickness, 4)
+        trace = qca.run(qca.QcaConfig(n_sites=args.n_sites, rule=qca.PULSE_RULE), steps)
         _maybe_save_trace(out, trace, args)
-        if fid < 1.0 - GHZ_FIDELITY_TOL:
-            raise InvariantError(f"propagation fidelity {fid!r} below 1 - 1e-9")
-        print(f"fidelity={fid:.9f}")
-        return 0
-    if args.experiment == "ghz":
-        if args.n_sites is None:
-            raise ValueError("ghz needs --n-sites")
+        return _emit_topology(out, trace, slice_layer=0, i_max=args.thickness,
+                              simplify=args.controlled_simplification)
+    fid, series, per_site = None, "p1", qca.occupation_probabilities
+    if args.experiment == "propagate":
+        trace, fid = qca.propagate_experiment(args.n_sites, parse_qubit_literal(args.psi))
+    elif args.experiment == "ghz":
         trace, fid = qca.ghz_experiment(args.n_sites)
-        seed = qca.ghz_seed_site(args.n_sites)
-        _write_site_series(out, trace, "p1", qca.occupation_probabilities, args.pgm)
-        fields = _write_distance_outputs(out, trace, args.pairs, args.include_boundary, args.pgm)
+    else:
+        if args.seed_site is None:
+            raise ValueError("pi3 needs --seed-site")
+        trace = qca.pi3_experiment(args.n_sites, args.seed_site, args.steps)
+        series, per_site = "entropy", infogeo.site_entropies
+    _write_site_series(out, trace, series, per_site, args.pgm)
+    fields = _write_distance_outputs(out, trace, args.pairs, args.include_boundary, args.pgm)
+    if args.experiment == "ghz":
         if args.pairs != "all_pairs" or args.include_boundary:
             # The block reports need register-only all-pairs fields.
             fields = [_snapshot_field(trace, idx, state, "all_pairs", False)
                       for idx, state in trace.snapshots]
+        seed = qca.ghz_seed_site(args.n_sites)
         out.write_json("block_report.json", [_block_report_obj(f, seed) for f in fields])
-        _maybe_save_trace(out, trace, args)
-        if fid < 1.0 - GHZ_FIDELITY_TOL:
-            raise InvariantError(f"GHZ fidelity {fid!r} below 1 - 1e-9")
+    _maybe_save_trace(out, trace, args)
+    if fid is not None:
+        if fid < 1.0 - FIDELITY_TOL:
+            raise InvariantError(f"{args.experiment} fidelity {fid!r} below 1 - 1e-9")
         print(f"fidelity={fid:.9f}")
-        return 0
-    if args.experiment == "pi3":
-        if args.n_sites is None or args.seed_site is None:
-            raise ValueError("pi3 needs --n-sites and --seed-site")
-        trace = qca.pi3_experiment(args.n_sites, args.seed_site, args.steps)
-        _write_site_series(out, trace, "entropy", infogeo.site_entropies, args.pgm)
-        _write_distance_outputs(out, trace, args.pairs, args.include_boundary, args.pgm)
-        _maybe_save_trace(out, trace, args)
-        return 0
-    if args.experiment == "topology":
-        if args.n_sites is None:
-            raise ValueError("topology needs --n-sites")
-        steps = args.steps if args.steps is not None else max(args.thickness, 4)
-        config = qca.QcaConfig(n_sites=args.n_sites, rule=qca.PULSE_RULE)
-        trace = qca.run(config, steps)
-        _maybe_save_trace(out, trace, args)
-        return _emit_topology(out, trace, slice_layer=0, i_max=args.thickness,
-                              simplify=args.controlled_simplification)
-    raise ValueError(f"unknown experiment {args.experiment!r}")
+    return 0
 
 
 def _cmd_sweep(args, out: _Outputs) -> int:
@@ -268,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--experiment", required=True,
                      choices=["propagate", "ghz", "pi3", "topology"])
     run.add_argument("--out", required=True, type=Path)
-    run.add_argument("--n-sites", type=int)
+    run.add_argument("--n-sites", type=int, required=True)
     run.add_argument("--steps", type=int)
     run.add_argument("--psi", default="1,0", help='seed qubit "re+imi,re+imi" (propagate)')
     run.add_argument("--seed-site", type=int, help="seed site (pi3)")
@@ -313,15 +300,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    out = _Outputs(args.out)
+    out = None
     try:
+        out = _Outputs(args.out)
         return args.func(args, out)
     except InvariantError as exc:
         out.discard()
         print(f"numerical invariant violated: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        out.discard()
+    except (ValueError, OSError) as exc:
+        if out is not None:  # None: --out itself could not be made a directory
+            out.discard()
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

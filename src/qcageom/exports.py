@@ -73,8 +73,8 @@ def distance_field_json_obj(field: DistanceField) -> dict:
     return {"time_step": field.time_step, "labels": list(field.labels), "values": values}
 
 
-def sweep_csv(curve: SweepCurve, param: str = "z", value: str = "delta") -> str:
-    lines = [f"{param},{value}"]
+def sweep_csv(curve: SweepCurve) -> str:
+    lines = ["z,delta"]
     for z, v in zip(curve.grid, curve.values):
         lines.append(f"{fmt12(z)},{fmt12(v)}")
     return "\n".join(lines) + "\n"

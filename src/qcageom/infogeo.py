@@ -197,9 +197,10 @@ def distance_field(
     chosen = _select_pairs(labels, pairs)
     stored = set(state.labels)
     sites = [lab for lab in dict.fromkeys(lab for pair in chosen for lab in pair) if lab in stored]
-    s_site = dict(zip(sites, _reduced_entropies(state, [(lab,) for lab in sites])))
     whole = [pair for pair in chosen if set(pair) <= stored]
-    s_pair = dict(zip(whole, _reduced_entropies(state, whole)))
+    entropies = _reduced_entropies(state, [(lab,) for lab in sites] + whole)
+    s_site = dict(zip(sites, entropies))
+    s_pair = dict(zip(whole, entropies[len(sites):]))
     for a, b in chosen:
         s_a, s_b = s_site.get(a, 0.0), s_site.get(b, 0.0)
         d = 2.0 * s_pair.get((a, b), s_a + s_b) - s_a - s_b
@@ -352,7 +353,7 @@ def werner_null_crossing(tol: float = 1e-8) -> float:
     lo, hi = 1.0 / 3.0, 1.0
 
     def f(z: float) -> float:
-        return info_distance(werner_state(z), {0}, {1})
+        return _two_qubit_distances(_werner_matrices(np.array([z])))[0]
 
     flo = f(lo)
     if flo <= 0:

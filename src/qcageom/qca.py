@@ -42,7 +42,8 @@ PROPAGATION_Z_ANGLE = math.pi
 
 KET0 = np.array([1, 0], dtype=complex)
 KET1 = np.array([0, 1], dtype=complex)
-KET_PLUS = np.array([1, 1], dtype=complex) / math.sqrt(2)
+# sqrt(0.5) is 1/sqrt(2) correctly rounded; seeds are used as given
+KET_PLUS = np.array([1, 1], dtype=complex) * math.sqrt(0.5)
 
 
 def x_rotation(theta: float) -> np.ndarray:
@@ -225,16 +226,32 @@ def _apply_gates(state: StateVector, rule: UpdateRule,
     return StateVector(psi, state.labels)
 
 
+def unit_qubit(amps) -> np.ndarray:
+    """Two finite amplitudes, not both zero, scaled to unit norm.
+
+    They are first scaled by a power of two, which is exact, so <v|v> can
+    neither overflow nor underflow; on moderate input the result is
+    bitwise v / sqrt(<v|v>).  Raises ValueError for any other input.
+    """
+    v = np.array(amps, dtype=complex).reshape(-1)
+    if v.size != 2:
+        raise ValueError("a qubit state needs exactly two amplitudes")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("qubit amplitudes must be finite")
+    scale = float(np.max(np.abs(v.view(float))))
+    if scale == 0.0:
+        raise ValueError("qubit state must be nonzero")
+    v = np.ldexp(v.view(float), -math.frexp(scale)[1]).view(complex)
+    return v / math.sqrt(float(np.vdot(v, v).real))
+
+
 def initial_state(config: QcaConfig, seeds: dict[int, np.ndarray] | None = None) -> StateVector:
-    """All-|0> register with optional single-site seeds."""
+    """All-|0> register with optional single-site seeds, each a unit vector."""
     seeds = seeds or {}
     for site in seeds:
         if site not in config.register_sites:
             raise ValueError(f"cannot seed non-register site {site}")
-    qubits = []
-    for site in config.register_sites:
-        q = np.asarray(seeds.get(site, KET0), dtype=complex).reshape(-1)
-        qubits.append(q / math.sqrt(float(np.vdot(q, q).real)))
+    qubits = [seeds.get(site, KET0) for site in config.register_sites]
     return product_state(qubits, config.register_sites)
 
 
@@ -314,25 +331,19 @@ def occupation_probabilities(state: StateVector) -> dict[int, float]:
     return out
 
 
-def propagate_experiment(
-    n_sites: int,
-    psi: np.ndarray,
-    record: str = "per_species_layer",
-) -> tuple[RunTrace, float]:
+def propagate_experiment(n_sites: int, psi: np.ndarray) -> tuple[RunTrace, float]:
     """Transport an unknown single-qubit state from site 1 to site N.
 
     Runs the pulse rule for N/2 global updates with even sites as species
-    B, then applies the calibrated Z rotation to site N.  Returns the
-    trace and the fidelity of site N's reduced state with `psi`.
+    B, then applies the calibrated Z rotation to site N.  `psi` is
+    normalized by `unit_qubit`.  Returns the trace and the fidelity of
+    site N's reduced state with `psi`.
     """
     if n_sites % 2 != 0:
         raise ValueError("propagation requires an even number of sites")
     config = QcaConfig(n_sites=n_sites, rule=PULSE_RULE, b_parity="even")
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    if psi.size != 2:
-        raise ValueError("psi must be a single-qubit state")
-    psi = psi / math.sqrt(float(np.vdot(psi, psi).real))
-    trace = run(config, n_sites // 2, initial_state(config, {1: psi}), record)
+    psi = unit_qubit(psi)
+    trace = run(config, n_sites // 2, initial_state(config, {1: psi}))
     trace = _append_phase_layer(trace, n_sites, z_rotation(PROPAGATION_Z_ANGLE))
     final = trace.snapshots[-1][1]
     rho_n = partial_trace(final, {n_sites}).matrix
@@ -352,7 +363,7 @@ def ghz_seed_site(n_sites: int) -> int:
     return n_sites // 2 if n_sites % 4 == 0 else n_sites // 2 + 1
 
 
-def ghz_experiment(n_sites: int, record: str = "per_species_layer") -> tuple[RunTrace, float]:
+def ghz_experiment(n_sites: int) -> tuple[RunTrace, float]:
     """Grow an N-qubit GHZ state from one |+> seed.
 
     Seeds q_{N/2} and runs k = N/4 global updates when N mod 4 = 0; seeds
@@ -371,7 +382,7 @@ def ghz_experiment(n_sites: int, record: str = "per_species_layer") -> tuple[Run
     else:
         k, extra_b = (n_sites - 2) // 4, True
     sign = (-1) ** k * (-1 if extra_b else 1)
-    trace = run(config, k, initial_state(config, {seed_site: KET_PLUS}), record)
+    trace = run(config, k, initial_state(config, {seed_site: KET_PLUS}))
     if extra_b:
         layer = LayerRecord(index=trace.n_layers + 1, species="B",
                             gates=_species_gates(config, "B"))

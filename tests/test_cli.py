@@ -1,6 +1,7 @@
 """End-to-end CLI runs: files, exit codes, determinism."""
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import shlex
@@ -8,8 +9,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from qcageom import exports, infogeo
+from qcageom import exports, infogeo, qca
 from qcageom.cli import _Outputs, main, parse_qubit_literal
 
 
@@ -35,6 +37,37 @@ class TestQubitLiteral:
             parse_qubit_literal("x,y")
         with pytest.raises(ValueError):
             parse_qubit_literal("0,0")
+
+    @pytest.mark.parametrize("text", ["nan,0", "1e309,0", "inf,1", "1,-infi", "0,nani"])
+    def test_non_finite_literals(self, text):
+        with pytest.raises(ValueError, match="must be finite"):
+            parse_qubit_literal(text)
+
+    @pytest.mark.parametrize("text, expect", [
+        ("1e200,1e200", [math.sqrt(0.5), math.sqrt(0.5)]),
+        ("0,1.3407807929942597e+154i", [0, 1j]),
+        ("5e-324,0", [1, 0]),
+    ])
+    def test_extreme_magnitudes(self, text, expect):
+        assert np.allclose(parse_qubit_literal(text), expect, rtol=0, atol=1e-15)
+
+    @given(st.one_of(
+        st.tuples(*[st.complex_numbers(allow_nan=True, allow_infinity=True)] * 2),
+        st.text().map(lambda text: (text,)),
+    ))
+    def test_any_text_is_a_unit_vector_or_value_error(self, literal):
+        if len(literal) == 1:
+            text = literal[0]
+        else:
+            text = ",".join(f"{z.real!r}{z.imag:+}i" for z in literal)
+        usable = len(literal) == 2 and all(map(cmath.isfinite, literal)) and any(literal)
+        try:
+            v = parse_qubit_literal(text)
+        except ValueError:
+            assert not usable, text
+            return
+        assert v.shape == (2,) and np.all(np.isfinite(v)), text
+        assert abs(float(np.vdot(v, v).real) - 1.0) <= 1e-12, text
 
 
 class TestRunPropagate:
@@ -65,6 +98,19 @@ class TestRunPropagate:
                        "--out", tmp_path / "p")
         assert code == 2
         assert not list((tmp_path / "p").glob("*")) or not (tmp_path / "p").exists()
+
+    def test_non_finite_psi_exit_2(self, tmp_path, capsys):
+        code = run_cli("run", "--experiment", "propagate", "--n-sites", 4,
+                       "--psi", "nan,0", "--out", tmp_path / "p")
+        assert code == 2
+        assert capsys.readouterr().err == "error: qubit amplitudes must be finite\n"
+        assert not (tmp_path / "p").exists()
+
+    def test_huge_psi_runs(self, tmp_path, capsys):
+        code = run_cli("run", "--experiment", "propagate", "--n-sites", 4,
+                       "--psi", "1e200,1e200", "--out", tmp_path / "p")
+        assert code == 0
+        assert capsys.readouterr().out.strip().splitlines()[-1] == "fidelity=1.000000000"
 
 
 class TestRunGhz:
@@ -111,6 +157,44 @@ class TestRunGhz:
         for name in files_a:
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes(), name
+
+
+class TestRunFlow:
+    @pytest.mark.parametrize("experiment", ["propagate", "ghz", "pi3", "topology"])
+    def test_n_sites_required(self, tmp_path, capsys, experiment):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", "--experiment", experiment, "--seed-site", 1,
+                    "--out", tmp_path / "o")
+        assert exc.value.code == 2
+        assert "--n-sites" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("experiment", ["propagate", "ghz"])
+    def test_low_fidelity_exit_3(self, tmp_path, capsys, monkeypatch, experiment):
+        name = f"{experiment}_experiment"
+        real = getattr(qca, name)
+        monkeypatch.setattr(qca, name, lambda *args: (real(*args)[0], 0.5))
+        code = run_cli("run", "--experiment", experiment, "--n-sites", 4, "--pgm",
+                       "--out", tmp_path / "o")
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.err == ("numerical invariant violated: "
+                                f"{experiment} fidelity 0.5 below 1 - 1e-9\n")
+        assert "fidelity=" not in captured.out
+        assert not (tmp_path / "o").exists()
+
+    def test_no_snapshots(self, tmp_path, capsys):
+        code = run_cli("run", "--experiment", "pi3", "--n-sites", 6, "--seed-site", 3,
+                       "--steps", 2, "--no-snapshots", "--out", tmp_path / "r")
+        assert code == 0
+        obj = json.loads((tmp_path / "r" / "trace.json").read_text())
+        assert "snapshots" not in obj and len(obj["layers"]) == 4
+        assert (tmp_path / "r" / "entropy.csv").exists()
+        code = run_cli("distance-matrix", "--trace", tmp_path / "r" / "trace.json",
+                       "--step", 0, "--out", tmp_path / "dm")
+        assert code == 2
+        assert capsys.readouterr().err == "error: trace has no snapshots\n"
+        assert not (tmp_path / "dm").exists()
 
 
 class TestRunPi3:
@@ -326,6 +410,19 @@ class TestTraceInputErrors:
         assert "layer index 1.5" in capsys.readouterr().err
         assert not (tmp_path / "t").exists()
 
+    @pytest.mark.parametrize("entry", [math.inf, 1e308])
+    def test_bad_rule_matrix_exit_2(self, tmp_path, capsys, entry):
+        run_cli("run", "--experiment", "topology", "--n-sites", 4, "--thickness", 2,
+                "--out", tmp_path / "t")
+        path = tmp_path / "t" / "trace.json"
+        obj = json.loads(path.read_text())
+        obj["config"]["rule"]["unitaries"][1][0] = [entry, 0.0]
+        path.write_text(json.dumps(obj))
+        code = run_cli("topology", "--trace", path, "--out", tmp_path / "t2")
+        assert code == 2
+        assert capsys.readouterr().err == "error: u1 is not a 2x2 unitary within 1e-10\n"
+        assert not (tmp_path / "t2").exists()
+
     @pytest.mark.parametrize("text", [
         "[]", "{", '{"format": "qcageom-trace-v1", "config": 3}',
     ])
@@ -346,6 +443,23 @@ class TestOutputs:
         assert (tmp_path / "o" / "x.json").exists()
         out.discard()
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("under", [False, True])
+    def test_out_is_a_file_exit_2(self, tmp_path, capsys, under):
+        path = tmp_path / "file"
+        path.write_text("kept")
+        code = run_cli("sweep", "--family", "pure_family", "--samples", 3,
+                       "--out", path / "sub" if under else path)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: [Errno ")
+        assert path.read_text() == "kept"
+
+    def test_failed_write_exit_2(self, tmp_path, capsys):
+        (tmp_path / "w" / "werner_crossing.json").mkdir(parents=True)
+        code = run_cli("sweep", "--family", "werner", "--samples", 3, "--out", tmp_path / "w")
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: [Errno ")
+        assert [p.name for p in (tmp_path / "w").iterdir()] == ["werner_crossing.json"]
 
 
 def readme_cli_commands() -> list[list[str]]:

@@ -114,6 +114,13 @@ class TestUpdateRule:
         with pytest.raises(ValueError):
             UpdateRule(I2, I2, I2, np.array([[1, 1], [0, 1]], dtype=complex))
 
+    @pytest.mark.parametrize("entry", [math.inf, math.nan, 1e308, 1e200j])
+    def test_rejects_entries_past_modulus_one(self, entry):
+        # the unitarity product would overflow (a RuntimeWarning, an error here)
+        u = np.array([[entry, 0], [0, 1]], dtype=complex)
+        with pytest.raises(ValueError, match="u2 is not a 2x2 unitary"):
+            UpdateRule(I2, I2, u, I2)
+
     def test_pulse_rule_operators(self):
         assert np.allclose(PULSE_RULE.u0, I2)
         assert np.allclose(PULSE_RULE.u1, -1j * X, atol=1e-12)
@@ -328,6 +335,7 @@ class TestPropagation:
         (0, 1),
         (1 / math.sqrt(2), 1 / math.sqrt(2)),
         (1 / math.sqrt(2), 1j / math.sqrt(2)),
+        (3, 4j),  # normalized on input
     ])
     def test_fidelity_one(self, n, psi):
         trace, fid = propagate_experiment(n, np.array(psi))
@@ -340,6 +348,16 @@ class TestPropagation:
     def test_odd_rejected(self):
         with pytest.raises(ValueError):
             propagate_experiment(5, KET1)
+
+    @pytest.mark.parametrize("psi", [(math.nan, 1), (math.inf, 0), (0, 0), (1, 0, 0)])
+    def test_bad_seed_rejected(self, psi):
+        with pytest.raises(ValueError):
+            propagate_experiment(4, np.array(psi))
+
+    def test_seeds_are_not_renormalized(self):
+        config = QcaConfig(n_sites=4, rule=PULSE_RULE)
+        with pytest.raises(ValueError):
+            initial_state(config, {1: np.array([3, 4])})
 
     def test_z_angle_calibration(self):
         """Golden-section scan of the final Z angle on a |+> seed.
