@@ -1,19 +1,26 @@
 """Command-line experiment runner and exporter.
 
 Subcommands: run, sweep, distance-matrix, topology.  Every `run`
-experiment needs --n-sites.  The propagate, ghz and pi3 experiments share
-one flow: evolve, write the per-site series (p1, or entropy for pi3) and
-the distance fields, add the GHZ block reports, save the trace, and only
-then check the fidelity, so a failed check discards every written file.
+experiment needs --n-sites, and a `run` option that the experiment does
+not read is an error.  The propagate, ghz and pi3 experiments share one
+flow: evolve, write the distance fields and the per-site series (p1, or
+for pi3 the entropies taken in the same pass as each field), add the GHZ
+block reports, save the trace, and only then check the fidelity, so a
+failed check discards every written file.
 
 Exit codes: 0 on success; 2 on a bad experiment spec (a non-finite or
-zero --psi among them) or an --out that cannot be created or written; 3
-when a numerical invariant fails mid-run.  On failure every partially
-written output file is removed.
+zero --psi, or an option the experiment does not read, among them) or an
+--out that cannot be created or written; 3 when a numerical invariant
+fails mid-run.  Each file is written under a temporary name and renamed
+into place; on failure the temporaries, the written files and the
+directories the run created are removed.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
+import os
 import sys
 from pathlib import Path
 
@@ -26,43 +33,52 @@ FIDELITY_TOL = 1e-9
 
 
 class _Outputs:
-    """Tracks written files so a failed run leaves nothing behind."""
+    """Writes the files of one run so that a failed run leaves nothing behind.
+
+    Each file is written under a temporary name in the out dir and renamed
+    into place once complete, so a final name never holds a partial file.
+    `discard` removes the temporaries, the files put in place, and the
+    directories that `__init__` created, never one that already existed.
+    """
 
     def __init__(self, out_dir: Path):
         self.dir = Path(out_dir)
-        self.written: list[Path] = []
-        self.dir.mkdir(parents=True, exist_ok=True)
+        self.paths: list[Path] = []
+        self.created = list(itertools.takewhile(lambda p: not p.exists(),
+                                                (self.dir, *self.dir.parents)))
+        try:
+            self.dir.mkdir(parents=True, exist_ok=True)
+        except OSError:
+            self.discard()
+            raise
 
-    def _track(self, name: str) -> Path:
-        """Record a file before it is opened, so a partial write is discarded too."""
+    def write(self, name: str, writer, *args):
+        """Call `writer(temporary path, *args)`, move the file to `name`; return the result."""
         path = self.dir / name
-        self.written.append(path)
-        return path
+        tmp = path.with_name(f".{name}.tmp")
+        self.paths.append(tmp)  # recorded before it is opened
+        result = writer(tmp, *args)
+        os.replace(tmp, path)
+        self.paths.append(path)
+        return result
 
-    def write_text(self, name: str, text: str) -> Path:
-        path = self._track(name)
-        path.write_text(text)
-        return path
+    def write_text(self, name: str, text: str) -> None:
+        self.write(name, Path.write_text, text)
 
-    def write_json(self, name: str, obj) -> Path:
-        path = self._track(name)
-        exports.write_json(path, obj)
-        return path
+    def write_json(self, name: str, obj) -> None:
+        self.write(name, exports.write_json, obj)
 
     def write_pgm(self, name: str, matrix: np.ndarray) -> None:
-        scale = exports.write_pgm(self._track(name), matrix)
+        scale = self.write(name, exports.write_pgm, matrix)
         self.write_json(name.replace(".pgm", ".scale.json"), scale)
 
     def discard(self) -> None:
-        for path in self.written:
-            try:
+        for path in self.paths:
+            with contextlib.suppress(OSError):
                 path.unlink()
-            except OSError:
-                pass
-        try:
-            self.dir.rmdir()
-        except OSError:
-            pass
+        for directory in self.created:  # deepest first; a non-empty one stays
+            with contextlib.suppress(OSError):
+                directory.rmdir()
 
 
 def parse_qubit_literal(text: str) -> np.ndarray:
@@ -111,12 +127,9 @@ def _write_distance_outputs(out: _Outputs, trace: qca.RunTrace, pairs: str,
     return fields
 
 
-def _write_site_series(out: _Outputs, trace: qca.RunTrace, name: str, per_site,
-                       pgm: bool) -> None:
-    """`name`.csv: one row per snapshot of `per_site(state)`, a dict keyed by register site."""
-    rows = [(idx, list(per_site(state).values())) for idx, state in trace.snapshots]
-    out.write_text(f"{name}.csv", exports.series_csv(trace.config.register_sites, rows,
-                                                    corner="layer"))
+def _write_site_series(out: _Outputs, columns, name: str, rows, pgm: bool) -> None:
+    """`name`.csv: one row (snapshot index, a value per register site) per snapshot."""
+    out.write_text(f"{name}.csv", exports.series_csv(columns, rows, corner="layer"))
     if pgm:
         out.write_pgm(f"{name}.pgm", np.array([r for _, r in rows]))
 
@@ -137,17 +150,43 @@ def _maybe_save_trace(out: _Outputs, trace: qca.RunTrace, args) -> None:
     # point, and `topology --trace` reads only the layers.
     if args.save_trace:
         snapshots = not args.no_snapshots and args.experiment != "topology"
-        out.write_json("trace.json", exports.trace_to_json_obj(trace, snapshots))
+        out.write("trace.json", exports.save_trace, trace, snapshots)
+
+
+_STATE_EXPERIMENTS = ("propagate", "ghz", "pi3")
+#: The `run` options that only some experiments read: those experiments,
+#: and the value the option takes when it is not given.
+_RUN_OPTIONS = {
+    "psi": (("propagate",), "1,0"),
+    "seed_site": (("pi3",), None),
+    "steps": (("pi3", "topology"), None),
+    "thickness": (("topology",), 4),
+    "controlled_simplification": (("topology",), True),
+    "pairs": (_STATE_EXPERIMENTS, "nearest_neighbor"),
+    "include_boundary": (_STATE_EXPERIMENTS, False),
+    "pgm": (_STATE_EXPERIMENTS, False),
+}
+
+
+def _check_run_options(args) -> None:
+    """Fill in the options not given; a given one the experiment does not read is an error."""
+    for dest, (readers, default) in _RUN_OPTIONS.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+        elif args.experiment not in readers:
+            raise ValueError(f"--{dest.replace('_', '-')} is not read by the "
+                             f"{args.experiment} experiment")
 
 
 def _cmd_run(args, out: _Outputs) -> int:
+    _check_run_options(args)
     if args.experiment == "topology":
         steps = args.steps if args.steps is not None else max(args.thickness, 4)
         trace = qca.run(qca.QcaConfig(n_sites=args.n_sites, rule=qca.PULSE_RULE), steps)
         _maybe_save_trace(out, trace, args)
         return _emit_topology(out, trace, slice_layer=0, i_max=args.thickness,
                               simplify=args.controlled_simplification)
-    fid, series, per_site = None, "p1", qca.occupation_probabilities
+    fid = None
     if args.experiment == "propagate":
         trace, fid = qca.propagate_experiment(args.n_sites, parse_qubit_literal(args.psi))
     elif args.experiment == "ghz":
@@ -156,9 +195,17 @@ def _cmd_run(args, out: _Outputs) -> int:
         if args.seed_site is None:
             raise ValueError("pi3 needs --seed-site")
         trace = qca.pi3_experiment(args.n_sites, args.seed_site, args.steps)
-        series, per_site = "entropy", infogeo.site_entropies
-    _write_site_series(out, trace, series, per_site, args.pgm)
     fields = _write_distance_outputs(out, trace, args.pairs, args.include_boundary, args.pgm)
+    sites = trace.config.register_sites
+    if args.experiment == "pi3":
+        # S(q) from the reduced-state pass that built each snapshot's field
+        series = "entropy"
+        rows = [(f.time_step, [f.site_entropies[s] for s in sites]) for f in fields]
+    else:
+        series = "p1"
+        rows = [(idx, list(qca.occupation_probabilities(state).values()))
+                for idx, state in trace.snapshots]
+    _write_site_series(out, sites, series, rows, args.pgm)
     if args.experiment == "ghz":
         if args.pairs != "all_pairs" or args.include_boundary:
             # The block reports need register-only all-pairs fields.
@@ -256,16 +303,18 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=["propagate", "ghz", "pi3", "topology"])
     run.add_argument("--out", required=True, type=Path)
     run.add_argument("--n-sites", type=int, required=True)
-    run.add_argument("--steps", type=int)
-    run.add_argument("--psi", default="1,0", help='seed qubit "re+imi,re+imi" (propagate)')
+    # Defaults of the options below are set by _check_run_options.
+    run.add_argument("--steps", type=int, help="global steps (pi3, topology)")
+    run.add_argument("--psi", help='seed qubit "re+imi,re+imi" (propagate; default 1,0)')
     run.add_argument("--seed-site", type=int, help="seed site (pi3)")
-    run.add_argument("--thickness", type=int, default=4, help="max thickness (topology)")
+    run.add_argument("--thickness", type=int, help="max thickness (topology; default 4)")
     run.add_argument("--pairs", choices=["nearest_neighbor", "all_pairs"],
-                     default="nearest_neighbor")
-    run.add_argument("--include-boundary", action="store_true")
+                     help="pairs of the distance fields (default nearest_neighbor)")
+    run.add_argument("--include-boundary", action="store_true", default=None)
     run.add_argument("--controlled-simplification", action=argparse.BooleanOptionalAction,
-                     default=True)
-    run.add_argument("--pgm", action="store_true", help="also write PGM heatmaps")
+                     help="(topology; default on)")
+    run.add_argument("--pgm", action="store_true", default=None,
+                     help="also write PGM heatmaps")
     run.add_argument("--save-trace", action=argparse.BooleanOptionalAction, default=True)
     run.add_argument("--no-snapshots", action="store_true",
                      help="omit state snapshots from trace.json")

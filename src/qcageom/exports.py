@@ -19,7 +19,7 @@ import numpy as np
 
 from .infogeo import DistanceField, SweepCurve
 from .qca import GateRecord, LayerRecord, QcaConfig, RunTrace, StateVector, UpdateRule
-from .statealg import MAX_QUBITS
+from .statealg import MAX_QUBITS, norm2
 
 TRACE_FORMAT, TRACE_FORMAT_V1 = "qcageom-trace-v2", "qcageom-trace-v1"
 ANCILLA_TOL = 1e-10  # largest |1> population of a v1 ancilla that reads as |0>
@@ -126,8 +126,9 @@ def _matrix_from_pairs(pairs: Sequence[Sequence[float]], dim: int) -> np.ndarray
     return flat.reshape(dim, dim)
 
 
-def _amplitudes_b64(state: StateVector) -> str:
-    return base64.b64encode(state.amplitudes.astype("<c16").tobytes()).decode("ascii")
+def _amplitudes_b64(state: StateVector) -> bytes:
+    """Base64 of the little-endian amplitudes, encoded from the array's own buffer."""
+    return base64.b64encode(np.ascontiguousarray(state.amplitudes, dtype="<c16"))
 
 
 def _snapshot_from_b64(text: str, config: QcaConfig, v1: bool, layer: int) -> StateVector:
@@ -135,7 +136,7 @@ def _snapshot_from_b64(text: str, config: QcaConfig, v1: bool, layer: int) -> St
     amps = np.frombuffer(base64.b64decode(text), dtype="<c16").astype(complex)
     if v1:
         psi = amps.reshape(2, -1, 2)
-        pop = max(np.vdot(off, off).real for off in (psi[1], psi[:, :, 1]))
+        pop = max(norm2(off) for off in (psi[1], psi[:, :, 1]))
         if not pop <= ANCILLA_TOL:  # NaN fails too
             raise ValueError(f"boundary qubit at layer {layer} has |1> population {pop:.3g}")
         amps = psi[0, :, 0]
@@ -170,7 +171,7 @@ def trace_to_json_obj(trace: RunTrace, include_snapshots: bool = True) -> dict:
     }
     if include_snapshots:
         obj["snapshots"] = [
-            {"layer": idx, "amplitudes_b64": _amplitudes_b64(state)}
+            {"layer": idx, "amplitudes_b64": _amplitudes_b64(state).decode("ascii")}
             for idx, state in trace.snapshots
         ]
     return obj
@@ -241,7 +242,27 @@ def _trace_from_fields(obj: dict, v1: bool) -> RunTrace:
 
 
 def save_trace(path: Path, trace: RunTrace, include_snapshots: bool = True) -> None:
-    write_json(path, trace_to_json_obj(trace, include_snapshots))
+    """Write `json_dumps(trace_to_json_obj(trace, include_snapshots))` to `path`.
+
+    The snapshots are written one at a time, each base64 string straight
+    to the file, so at most one snapshot's encoding is held at once.
+    "snapshots" sorts after every other key, so the rest of the object is
+    dumped first, with its closing brace left off.
+    """
+    head = json_dumps(trace_to_json_obj(trace, include_snapshots=False))
+    with open(path, "wb") as fh:
+        if not include_snapshots:
+            fh.write(head.encode("ascii"))
+            return
+        fh.write(head[:-3].encode("ascii"))  # drop "\n}\n"
+        fh.write(b',\n  "snapshots": [')
+        sep = b"\n"
+        for idx, state in trace.snapshots:
+            fh.write(sep + b'    {\n      "amplitudes_b64": "')
+            fh.write(_amplitudes_b64(state))
+            fh.write(b'",\n      "layer": %d\n    }' % idx)
+            sep = b",\n"
+        fh.write(b"\n  ]\n}\n" if trace.snapshots else b"]\n}\n")
 
 
 def load_trace(path: Path) -> RunTrace:

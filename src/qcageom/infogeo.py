@@ -116,12 +116,14 @@ class DistanceField:
     """Symmetric matrix of pairwise distances over an ordered label list.
 
     Entries for pairs that were not computed hold NaN; the diagonal is
-    exactly zero.
+    exactly zero.  `site_entropies` maps each stored site that a computed
+    pair touches to S(q) in bits, taken in the same pass as the pairs.
     """
 
     time_step: int
     labels: tuple[int, ...]
     values: np.ndarray
+    site_entropies: dict[int, float] = None  # type: ignore[assignment]
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -140,6 +142,7 @@ class DistanceField:
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "labels", tuple(self.labels))
+        object.__setattr__(self, "site_entropies", dict(self.site_entropies or {}))
 
     def value(self, a: int, b: int) -> float:
         return float(self.values[self.labels.index(a), self.labels.index(b)])
@@ -199,14 +202,15 @@ def distance_field(
     sites = [lab for lab in dict.fromkeys(lab for pair in chosen for lab in pair) if lab in stored]
     whole = [pair for pair in chosen if set(pair) <= stored]
     entropies = _reduced_entropies(state, [(lab,) for lab in sites] + whole)
-    s_site = dict(zip(sites, entropies))
+    s_site = dict(zip(sites, map(float, entropies)))
     s_pair = dict(zip(whole, entropies[len(sites):]))
     for a, b in chosen:
         s_a, s_b = s_site.get(a, 0.0), s_site.get(b, 0.0)
         d = 2.0 * s_pair.get((a, b), s_a + s_b) - s_a - s_b
         values[index[a], index[b]] = d
         values[index[b], index[a]] = d
-    return DistanceField(time_step=time_step, labels=labels, values=values)
+    return DistanceField(time_step=time_step, labels=labels, values=values,
+                         site_entropies=s_site)
 
 
 @dataclass(frozen=True)

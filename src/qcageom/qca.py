@@ -31,6 +31,7 @@ from .statealg import (
     apply_unitary,
     fidelity,
     is_unitary,
+    norm2,
     partial_trace,
     product_state,
 )
@@ -210,7 +211,7 @@ def _controlled_update(psi: np.ndarray, coef: np.ndarray, gate: GateRecord) -> n
     c = coef[:, :left, :, :right, None]
     # 0.0 + turns a zero product's -0.0 into +0.0, as a matrix product writes it
     out = (0.0 + c[0] * v[:, :, :1] + c[1] * v[:, :, 1:]).reshape(-1)
-    norm = float(np.vdot(out, out).real)
+    norm = norm2(out)
     if abs(norm - 1.0) > ATOL:
         raise InvariantError(f"unitary application drifted norm^2 to {norm!r}")
     return out

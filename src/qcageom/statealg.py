@@ -56,6 +56,19 @@ def _check_qubit_count(dim: int) -> int:
     return n
 
 
+def norm2(v: np.ndarray) -> float:
+    """<v|v> of an array of complex amplitudes, computed without BLAS.
+
+    np.vdot calls BLAS zdotc, which OpenBLAS may run on several threads;
+    at 2^14 amplitudes such a call was measured at 8 ms against 0.01 ms
+    on one thread.  einsum's own loop runs on the calling thread.  A
+    strided array is first copied, since only a contiguous one has a
+    float view.
+    """
+    f = np.ascontiguousarray(v, dtype=complex).reshape(-1).view(float)
+    return float(np.einsum("i,i->", f, f))
+
+
 def is_hermitian(m: np.ndarray, atol: float = ATOL) -> bool:
     return bool(np.all(np.abs(m - m.conj().T) <= atol))
 
@@ -78,14 +91,13 @@ class StateVector:
     labels: tuple[int, ...] = None  # type: ignore[assignment]
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
+        amps = np.array(self.amplitudes, dtype=complex).reshape(-1)  # a contiguous copy
         n = _check_qubit_count(amps.size)
         if not np.all(np.isfinite(amps)):
             raise InvariantError("state vector has non-finite amplitudes")
-        norm = float(np.vdot(amps, amps).real)
+        norm = norm2(amps)
         if abs(norm - 1.0) > ATOL:
             raise InvariantError(f"state vector norm^2 = {norm!r} is not 1")
-        amps = amps.copy()
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "labels", _as_labels(self.labels, n))
@@ -201,7 +213,7 @@ def apply_unitary(state: StateVector, u: np.ndarray, targets: Iterable[int]) -> 
     psi = np.moveaxis(psi, positions, range(k))
     out = (u @ psi.reshape(1 << k, -1)).reshape((2,) * n)
     out = np.moveaxis(out, range(k), positions).reshape(-1)
-    norm = float(np.vdot(out, out).real)
+    norm = norm2(out)
     if abs(norm - 1.0) > ATOL:
         raise InvariantError(f"unitary application drifted norm^2 to {norm!r}")
     return StateVector(out, state.labels)

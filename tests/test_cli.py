@@ -159,6 +159,58 @@ class TestRunGhz:
                 (tmp_path / "b" / name).read_bytes(), name
 
 
+_STATE = {"propagate", "ghz", "pi3"}
+#: Each option of `run` that only some experiments read, with those experiments.
+_OPTION_READERS = [
+    (["--psi", "0,1"], {"propagate"}),
+    (["--seed-site", "2"], {"pi3"}),
+    (["--steps", "2"], {"pi3", "topology"}),
+    (["--thickness", "2"], {"topology"}),
+    (["--controlled-simplification"], {"topology"}),
+    (["--no-controlled-simplification"], {"topology"}),
+    (["--pairs", "all_pairs"], _STATE),
+    (["--include-boundary"], _STATE),
+    (["--pgm"], _STATE),
+]
+
+
+class TestRunOptions:
+    @pytest.mark.parametrize("experiment", ["propagate", "ghz", "pi3", "topology"])
+    @pytest.mark.parametrize("option, readers", _OPTION_READERS,
+                             ids=[o[0] for o, _ in _OPTION_READERS])
+    def test_unread_option_exit_2(self, tmp_path, capsys, experiment, option, readers):
+        seed = ["--seed-site", "2"] if experiment == "pi3" else []
+        code = run_cli("run", "--experiment", experiment, "--n-sites", 4, *seed, *option,
+                       "--out", tmp_path / "o")
+        err = capsys.readouterr().err
+        if experiment in readers:
+            assert code == 0, err
+        else:
+            assert code == 2
+            flag = option[0].replace("--no-", "--")
+            assert err == f"error: {flag} is not read by the {experiment} experiment\n"
+            assert not (tmp_path / "o").exists()
+
+    def test_misspecified_ghz_exit_2(self, tmp_path, capsys):
+        code = run_cli("run", "--experiment", "ghz", "--n-sites", 4, "--psi", "nan,0",
+                       "--seed-site", 99, "--out", tmp_path / "o")
+        assert code == 2
+        assert "fidelity" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("experiment, defaults", [
+        ("propagate", ["--psi", "1,0", "--pairs", "nearest_neighbor"]),
+        ("topology", ["--thickness", "4", "--controlled-simplification"]),
+    ])
+    def test_defaults_when_not_given(self, tmp_path, experiment, defaults):
+        run_cli("run", "--experiment", experiment, "--n-sites", 6, "--out", tmp_path / "a")
+        run_cli("run", "--experiment", experiment, "--n-sites", 6, *defaults,
+                "--out", tmp_path / "b")
+        names = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
+        for name in names:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
 class TestRunFlow:
     @pytest.mark.parametrize("experiment", ["propagate", "ghz", "pi3", "topology"])
     def test_n_sites_required(self, tmp_path, capsys, experiment):
@@ -210,6 +262,45 @@ class TestRunPi3:
         cols, rows, vals = exports.parse_matrix_csv((out / "entropy.csv").read_text())
         assert len(rows) == 7  # initial + 6 species layers
         assert np.all(vals >= -1e-12)
+
+    @pytest.mark.parametrize("pairs", ["nearest_neighbor", "all_pairs"])
+    def test_one_entropy_pass_per_snapshot(self, tmp_path, monkeypatch, pairs):
+        calls, real = [], infogeo._reduced_entropies
+
+        def counting(state, groups):
+            calls.append(state)
+            return real(state, groups)
+
+        monkeypatch.setattr(infogeo, "_reduced_entropies", counting)
+        code = run_cli("run", "--experiment", "pi3", "--n-sites", 7, "--seed-site", 3,
+                       "--steps", 3, "--pairs", pairs, "--include-boundary",
+                       "--out", tmp_path / "d")
+        assert code == 0
+        monkeypatch.undo()
+        trace = exports.load_trace(tmp_path / "d" / "trace.json")
+        assert len(calls) == len(trace.snapshots) == 7
+        # entropy.csv holds S(q) of every register site, as site_entropies gives it
+        expected = exports.series_csv(
+            trace.config.register_sites,
+            [(idx, list(infogeo.site_entropies(state).values()))
+             for idx, state in trace.snapshots], corner="layer")
+        assert (tmp_path / "d" / "entropy.csv").read_text() == expected
+
+    def test_runs_without_vdot(self, tmp_path, monkeypatch, as_v1):
+        # every norm check avoids BLAS zdotc, which OpenBLAS may run threaded
+        def no_vdot(*args, **kwargs):
+            raise AssertionError("np.vdot called")
+
+        monkeypatch.setattr(np, "vdot", no_vdot)
+        code = run_cli("run", "--experiment", "pi3", "--n-sites", 8, "--seed-site", 4,
+                       "--pairs", "all_pairs", "--out", tmp_path / "d")
+        assert code == 0
+        obj = json.loads((tmp_path / "d" / "trace.json").read_text())
+        (tmp_path / "v1.json").write_text(json.dumps(as_v1(obj)))
+        for trace in (tmp_path / "d" / "trace.json", tmp_path / "v1.json"):
+            code = run_cli("distance-matrix", "--trace", trace, "--step", 5,
+                           "--out", tmp_path / trace.stem)
+            assert code == 0
 
     def test_missing_seed_site_exit_2(self, tmp_path):
         code = run_cli("run", "--experiment", "pi3", "--n-sites", 6,
@@ -440,7 +531,8 @@ class TestOutputs:
         out = _Outputs(tmp_path / "o")
         with pytest.raises(TypeError):
             out.write_json("x.json", {"a": list(range(100)), "b": object()})
-        assert (tmp_path / "o" / "x.json").exists()
+        # the partial file sits under a temporary name, never under the final one
+        assert [p.name for p in (tmp_path / "o").iterdir()] == [".x.json.tmp"]
         out.discard()
         assert not (tmp_path / "o").exists()
 
@@ -453,6 +545,57 @@ class TestOutputs:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: [Errno ")
         assert path.read_text() == "kept"
+
+    def test_failing_writer_leaves_nothing(self, tmp_path):
+        out = _Outputs(tmp_path / "o")
+        out.write_text("kept.csv", "x\n")
+        seen = []
+
+        def writer(path):
+            seen.append(path.name)
+            assert not (tmp_path / "o" / "x.csv").exists()
+            path.write_text("partial")
+            raise OSError("disk full")
+
+        with pytest.raises(OSError):
+            out.write("x.csv", writer)
+        assert seen == [".x.csv.tmp"]
+        assert sorted(p.name for p in (tmp_path / "o").iterdir()) == [".x.csv.tmp", "kept.csv"]
+        out.discard()
+        assert not (tmp_path / "o").exists()
+
+    def test_failed_trace_write_exit_2(self, tmp_path, capsys, monkeypatch):
+        def half_written(path, trace, snapshots):
+            path.write_text('{"config": ')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(exports, "save_trace", half_written)
+        code = run_cli("run", "--experiment", "ghz", "--n-sites", 4, "--out", tmp_path / "g")
+        assert code == 2
+        assert capsys.readouterr().err == "error: disk full\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_discard_removes_created_parents(self, tmp_path):
+        code = run_cli("run", "--experiment", "propagate", "--n-sites", 4, "--psi", "nan,0",
+                       "--out", tmp_path / "fd" / "a" / "b" / "c")
+        assert code == 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_discard_keeps_existing_dirs(self, tmp_path):
+        (tmp_path / "fd" / "a").mkdir(parents=True)
+        for out in (tmp_path / "fd" / "a", tmp_path / "fd" / "a" / "b" / "c"):
+            code = run_cli("run", "--experiment", "propagate", "--n-sites", 4,
+                           "--psi", "nan,0", "--out", out)
+            assert code == 2
+            assert [p.relative_to(tmp_path) for p in tmp_path.rglob("*")] == \
+                [Path("fd"), Path("fd/a")]
+
+    def test_unmakeable_out_leaves_no_parent(self, tmp_path, capsys):
+        code = run_cli("sweep", "--family", "pure_family", "--samples", 3,
+                       "--out", tmp_path / "new" / ("x" * 300))
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: [Errno ")
+        assert list(tmp_path.iterdir()) == []
 
     def test_failed_write_exit_2(self, tmp_path, capsys):
         (tmp_path / "w" / "werner_crossing.json").mkdir(parents=True)

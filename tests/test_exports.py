@@ -3,13 +3,24 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qcageom import exports
 from qcageom.infogeo import DistanceField, distance_field, werner_sweep
-from qcageom.qca import KET_PLUS, PI3_RULE, QcaConfig, initial_state, run
+from qcageom.qca import (
+    KET_PLUS,
+    PI3_RULE,
+    QcaConfig,
+    RunTrace,
+    ghz_experiment,
+    initial_state,
+    pi3_experiment,
+    propagate_experiment,
+    run,
+)
 
 RNG = np.random.default_rng(5)
 
@@ -222,3 +233,37 @@ class TestDeterminism:
             )
             runs.append(exports.distance_field_csv(field))
         assert runs[0] == runs[1]
+
+
+def _without_snapshots(trace: RunTrace) -> RunTrace:
+    return RunTrace(config=trace.config, granularity=trace.granularity,
+                    layers=trace.layers, snapshots=())
+
+
+class TestStreamedTrace:
+    """`save_trace` writes the bytes of `json_dumps(trace_to_json_obj(...))`."""
+
+    @pytest.mark.parametrize("make, snapshots", [
+        (lambda: pi3_experiment(8, 3), True),
+        (lambda: pi3_experiment(8, 3), False),
+        (lambda: propagate_experiment(6, KET_PLUS)[0], True),  # ends in a phase layer
+        (lambda: ghz_experiment(10)[0], True),  # N mod 4 = 2: an extra B layer
+        (lambda: _without_snapshots(pi3_experiment(4, 2, 1)), True),  # "snapshots": []
+    ], ids=["pi3", "pi3-no-snapshots", "propagate", "ghz10", "empty-snapshots"])
+    def test_bytes_equal_reference(self, tmp_path, make, snapshots):
+        trace = make()
+        exports.save_trace(tmp_path / "t.json", trace, snapshots)
+        ref = exports.json_dumps(exports.trace_to_json_obj(trace, snapshots))
+        assert (tmp_path / "t.json").read_bytes() == ref.encode("ascii")
+
+    def test_peak_memory_below_three_snapshots(self, tmp_path):
+        trace = pi3_experiment(12, 6)
+        b64_bytes = len(exports.trace_to_json_obj(trace)["snapshots"][0]["amplitudes_b64"])
+        tracemalloc.start()
+        try:
+            exports.save_trace(tmp_path / "t.json", trace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(trace.snapshots) == 25
+        assert peak < 3 * b64_bytes

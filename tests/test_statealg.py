@@ -14,6 +14,7 @@ from qcageom.statealg import (
     basis_state,
     fidelity,
     hermitian_eigenvalues,
+    norm2,
     partial_trace,
     ppt_separable_2q,
     product_state,
@@ -62,6 +63,30 @@ class TestStateTypes:
     def test_norm_invariant(self):
         with pytest.raises(InvariantError):
             StateVector(np.array([1.0, 1.0], dtype=complex))
+
+    @pytest.mark.parametrize("drift", [2e-10, -2e-10])
+    def test_norm_rejected_at_twice_atol(self, drift):
+        v = RNG.normal(size=1 << 14) + 1j * RNG.normal(size=1 << 14)
+        v *= math.sqrt(1.0 + drift) / np.linalg.norm(v)
+        with pytest.raises(InvariantError, match=r"^state vector norm\^2 = .* is not 1$"):
+            StateVector(v)
+        StateVector(v * math.sqrt((1.0 + drift / 4) / (1.0 + drift)))
+
+    def test_strided_amplitudes(self):
+        psi = RNG.normal(size=(2, 8, 2)) + 1j * RNG.normal(size=(2, 8, 2))
+        psi /= np.linalg.norm(psi[0, :, 0])
+        strided = psi[0, :, 0]  # as the v1 trace reader passes it
+        with pytest.raises(ValueError):
+            strided.view(float)  # so norm2 copies before taking its float view
+        s = StateVector(strided)
+        assert s.amplitudes.flags.c_contiguous and not s.amplitudes.flags.writeable
+        assert np.array_equal(s.amplitudes, strided)
+
+    @pytest.mark.parametrize("shape", [(1,), (2,), (3, 5), (1 << 14,), (2, 64, 2)])
+    def test_norm2_matches_vdot(self, shape):
+        v = RNG.normal(size=shape) + 1j * RNG.normal(size=shape)
+        for w in (v, v[..., ::-1], np.moveaxis(v, 0, -1)):
+            assert norm2(w) == pytest.approx(np.vdot(w, w).real, rel=1e-13)
 
     def test_qubit_cap(self):
         with pytest.raises(ValueError):
