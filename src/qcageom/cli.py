@@ -165,6 +165,7 @@ _RUN_OPTIONS = {
     "pairs": (_STATE_EXPERIMENTS, "nearest_neighbor"),
     "include_boundary": (_STATE_EXPERIMENTS, False),
     "pgm": (_STATE_EXPERIMENTS, False),
+    "no_snapshots": (_STATE_EXPERIMENTS, False),
 }
 
 
@@ -176,6 +177,9 @@ def _check_run_options(args) -> None:
         elif args.experiment not in readers:
             raise ValueError(f"--{dest.replace('_', '-')} is not read by the "
                              f"{args.experiment} experiment")
+    if args.no_snapshots and not args.save_trace:
+        raise ValueError(f"--no-snapshots is not read by the {args.experiment} "
+                         "experiment with --no-save-trace")
 
 
 def _cmd_run(args, out: _Outputs) -> int:
@@ -316,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--pgm", action="store_true", default=None,
                      help="also write PGM heatmaps")
     run.add_argument("--save-trace", action=argparse.BooleanOptionalAction, default=True)
-    run.add_argument("--no-snapshots", action="store_true",
+    run.add_argument("--no-snapshots", action="store_true", default=None,
                      help="omit state snapshots from trace.json")
     run.set_defaults(func=_cmd_run)
 

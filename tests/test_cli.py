@@ -171,7 +171,10 @@ _OPTION_READERS = [
     (["--pairs", "all_pairs"], _STATE),
     (["--include-boundary"], _STATE),
     (["--pgm"], _STATE),
+    (["--no-snapshots"], _STATE),
 ]
+#: The flag an error names, where it is not the option given.
+_REPORTED_FLAG = {"--no-controlled-simplification": "--controlled-simplification"}
 
 
 class TestRunOptions:
@@ -187,9 +190,19 @@ class TestRunOptions:
             assert code == 0, err
         else:
             assert code == 2
-            flag = option[0].replace("--no-", "--")
+            flag = _REPORTED_FLAG.get(option[0], option[0])
             assert err == f"error: {flag} is not read by the {experiment} experiment\n"
             assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("experiment", sorted(_STATE))
+    def test_no_snapshots_without_trace_exit_2(self, tmp_path, capsys, experiment):
+        seed = ["--seed-site", "2"] if experiment == "pi3" else []
+        code = run_cli("run", "--experiment", experiment, "--n-sites", 4, *seed,
+                       "--no-save-trace", "--no-snapshots", "--out", tmp_path / "o")
+        assert code == 2
+        assert capsys.readouterr().err == (f"error: --no-snapshots is not read by the "
+                                           f"{experiment} experiment with --no-save-trace\n")
+        assert not (tmp_path / "o").exists()
 
     def test_misspecified_ghz_exit_2(self, tmp_path, capsys):
         code = run_cli("run", "--experiment", "ghz", "--n-sites", 4, "--psi", "nan,0",

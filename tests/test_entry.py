@@ -1,0 +1,137 @@
+"""The lazy package namespace and the CLI's BLAS thread setting."""
+from __future__ import annotations
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import qcageom
+
+ROOT = Path(__file__).resolve().parents[1]
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+#: The names the package exported when it imported its modules eagerly.
+EXPORTS = {
+    "statealg": ["DensityMatrix", "InvariantError", "StateVector", "apply_unitary",
+                 "basis_state", "fidelity", "hermitian_eigenvalues", "partial_trace",
+                 "ppt_separable_2q", "product_state", "pure_density", "tensor",
+                 "von_neumann_entropy"],
+    "infogeo": ["DistanceField", "SweepCurve", "block_structure_report", "distance_field",
+                "info_distance", "mutual_information", "pure_family_sweep",
+                "site_entropies", "werner_null_crossing", "werner_state", "werner_sweep"],
+    "qca": ["PI3_RULE", "PULSE_RULE", "QcaConfig", "RunTrace", "UpdateRule",
+            "ghz_experiment", "global_update", "initial_state", "occupation_probabilities",
+            "pi3_experiment", "propagate_experiment", "run", "species_update",
+            "x_pulse_rule"],
+    "causal": ["AntiChain", "CausalPoset", "Gate", "ThickenedAntiChain", "Wire",
+               "build_poset", "foliate", "slice_antichain", "thicken"],
+    "topo": ["SimplicialComplex", "betti", "boundary_rank", "shadow_complex",
+             "stable_complex", "unitary_shadow_complex"],
+}
+
+
+def child_env(**overrides: str | None) -> dict[str, str]:
+    """This environment with the checkout's `src` on the path; a `None` override unsets."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    for name, value in overrides.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
+    return env
+
+
+def python(code: str, **overrides: str | None) -> str:
+    """Run `code` in a fresh interpreter under `child_env(**overrides)`; return stdout."""
+    return subprocess.run([sys.executable, "-c", code], env=child_env(**overrides), cwd=ROOT,
+                          check=True, capture_output=True, text=True).stdout
+
+
+class TestLazyPackage:
+    def test_import_loads_no_numpy(self):
+        out = python("import sys, qcageom; print(qcageom.__version__, 'numpy' in sys.modules); "
+                     "print(qcageom.topo.__name__, 'numpy' in sys.modules)")
+        assert out == "0.1.0 False\nqcageom.topo True\n"
+
+    @pytest.mark.parametrize("module", sorted(EXPORTS))
+    def test_names_resolve_to_their_modules(self, module):
+        mod = importlib.import_module(f"qcageom.{module}")
+        assert getattr(qcageom, module) is mod
+        for name in EXPORTS[module]:
+            assert getattr(qcageom, name) is getattr(mod, name), name
+
+    def test_dir_star_import_and_unknown_name(self):
+        exported = {name for names in EXPORTS.values() for name in names}
+        listed = set(dir(qcageom))
+        assert exported <= listed
+        assert "__version__" in listed
+        assert set(qcageom.__all__) == exported  # what `from qcageom import *` binds
+        with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+            qcageom.no_such_name  # noqa: B018
+
+    def test_readme_library_example(self, capsys):
+        text = (ROOT / "README.md").read_text()
+        block = text.split("\n## Library example\n", 1)[1].split("```python\n", 1)[1]
+        block = block.split("```", 1)[0]
+        assert "from qcageom import (" in block
+        exec(compile(block, "README.md", "exec"), {})
+        assert capsys.readouterr().out
+
+
+needs_proc = pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
+                                reason="no /proc/self/task to count threads")
+COUNT_TASKS = ("import os, numpy; "
+               "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])")
+
+
+@needs_proc
+class TestThreadSetting:
+    unset = dict.fromkeys(BLAS_VARS)
+
+    def test_entry_point_runs_one_thread(self):
+        out = python(f"import qcageom.__main__; {COUNT_TASKS}", **self.unset)
+        assert out == "1 1\n"
+
+    def test_preset_variable_wins(self):
+        preset = dict(self.unset, OPENBLAS_NUM_THREADS="2")
+        baseline = python(COUNT_TASKS, **preset)
+        if baseline == "1 2\n":
+            pytest.skip("numpy starts no BLAS worker here at 2 threads")
+        assert python(f"import qcageom.__main__; {COUNT_TASKS}", **preset) == baseline
+
+    def test_library_import_leaves_environment(self):
+        out = python("import os; before = dict(os.environ); import qcageom.cli; "
+                     "print(dict(os.environ) == before, 'OPENBLAS_NUM_THREADS' in os.environ)",
+                     **self.unset)
+        assert out == "True False\n"
+
+
+def test_outputs_do_not_depend_on_blas_threads(tmp_path):
+    """Out dirs and stdout are byte-identical on one BLAS thread and on two."""
+    def start(threads: str, *argv) -> subprocess.Popen:
+        return subprocess.Popen([sys.executable, "-m", "qcageom", *map(str, argv)],
+                                env=child_env(OPENBLAS_NUM_THREADS=threads),
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+
+    def run_both(name: str, *argv) -> None:
+        procs = {t: start(t, *argv, "--out", tmp_path / t / name) for t in ("1", "2")}
+        results = {t: (p.communicate(timeout=60), p.returncode) for t, p in procs.items()}
+        assert results["1"] == results["2"], name
+        assert results["1"][1] == 0, results["1"][0][1]
+
+    run_both("pi3", "run", "--experiment", "pi3", "--n-sites", 10, "--seed-site", 4,
+             "--pairs", "all_pairs")
+    run_both("ghz", "run", "--experiment", "ghz", "--n-sites", 14)
+    run_both("dm", "distance-matrix", "--trace", tmp_path / "1" / "pi3" / "trace.json",
+             "--step", 12)
+    one = sorted(p.relative_to(tmp_path / "1") for p in (tmp_path / "1").rglob("*"))
+    two = sorted(p.relative_to(tmp_path / "2") for p in (tmp_path / "2").rglob("*"))
+    assert one == two and len(one) > 20
+    for rel in one:
+        if (tmp_path / "1" / rel).is_file():
+            assert (tmp_path / "1" / rel).read_bytes() == (tmp_path / "2" / rel).read_bytes(), rel
