@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -64,30 +65,88 @@ def mutual_information(joint: DensityMatrix, part_a: Iterable[int], part_b: Iter
     return _reduced_entropy(joint, a) + _reduced_entropy(joint, b) - _reduced_entropy(joint, a | b)
 
 
+def _block_positions(group: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """Register positions of the block that `group` (sorted positions) is read from.
+
+    The register is cut into the chunks {0, 1}, {2, 3}, ...; the block is
+    the chunks the group touches, and a group inside one chunk also takes
+    the chunk to its right (to its left for the last chunk).
+    """
+    chunks = {p // 2 for p in group}
+    last = (n - 1) // 2
+    if len(chunks) == 1 and last > 0:
+        (c,) = chunks
+        chunks.add(c + 1 if c < last else c - 1)
+    return tuple(p for c in sorted(chunks) for p in (2 * c, 2 * c + 1) if p < n)
+
+
+@lru_cache(maxsize=32)
+def _block_plan(n: int, groups: tuple[tuple[int, ...], ...]):
+    """Which blocks to build and how to trace each group's state out of them.
+
+    `groups` holds sorted register positions.  Returns the blocks as
+    (transpose order, block size), and for each number k of kept
+    positions the group indices with the traces that give their
+    2^k x 2^k states in that order, as (block size, einsum subscripts,
+    block indices).  The plan is all tuples, since every caller of the
+    cache gets the same one.
+    """
+    blocks: dict[tuple[int, ...], int] = {}
+    traces: dict[tuple[int, tuple[int, ...]], list[tuple[int, int]]] = {}
+    for g, group in enumerate(groups):
+        block = _block_positions(group, n)
+        b = blocks.setdefault(block, len(blocks))
+        kept = tuple(block.index(p) for p in group)
+        traces.setdefault((len(block), kept), []).append((b, g))
+    spectra: dict[int, tuple[list[int], list]] = {}  # k -> (group indices, traces)
+    for (size, kept), uses in traces.items():
+        row = [chr(ord("a") + i) for i in range(size)]
+        col = [chr(ord("A") + i) if i in kept else row[i] for i in range(size)]
+        out = "".join(row[i] for i in kept) + "".join(col[i] for i in kept)
+        idx, parts = spectra.setdefault(len(kept), ([], []))
+        idx.extend(g for _, g in uses)
+        parts.append((size, f"z{''.join(row)}{''.join(col)}->z{out}", tuple(b for b, _ in uses)))
+    orders = tuple((block + tuple(p for p in range(n) if p not in block), len(block))
+                   for block in blocks)
+    return orders, tuple((k, tuple(idx), tuple(parts)) for k, (idx, parts) in spectra.items())
+
+
 def _reduced_entropies(state: StateVector, groups: Sequence[tuple[int, ...]]) -> np.ndarray:
     """Entropy in bits of `state` reduced to each label group.
 
-    Each reduced state costs one transpose of the amplitudes and one
-    m @ m^H, with kept labels in register order as in `partial_trace`.
-    Only the small reduced states are stacked, one stack and one eigvalsh
-    per group size.  The state is already validated and m @ m^H is
-    Hermitian with unit trace, so only the sign of the spectrum is checked.
-    The transposed amplitudes and their conjugate go to two buffers reused
-    for every group: a fresh 2^n array per group cost more than the copy.
+    The register is cut into consecutive two-position chunks, and each
+    group is read from the block of the chunks it touches (a group inside
+    one chunk takes a neighbouring chunk too; see `_block_positions`).
+    Each block state costs one transpose of the amplitudes into a reused
+    buffer and one m @ m^H, of at most 16x16 for sites and pairs, so an
+    all-pairs pass on N qubits builds (ceil(N/2) choose 2) block states, not
+    one state per pair.  Each group's state is traced out of its block
+    state with kept labels in register order, as in `partial_trace`: one
+    einsum per (block size, kept positions) over the stacked block
+    states, then one eigvalsh per reduced-state size.  A group's block
+    depends only on its own positions, so its entropy is bitwise the same
+    whatever else is requested.  The plan depends only on N and the
+    positions, so a run builds it once.  The state is already validated
+    and each reduced state is Hermitian with unit trace, so only the sign
+    of the spectrum is checked.
     """
     n = state.n_qubits
+    positions = tuple(tuple(sorted(state.position(lab) for lab in group)) for group in groups)
+    blocks, spectra = _block_plan(n, positions)
     psi = state.amplitudes.reshape((2,) * n)
     moved, conj = np.empty_like(psi), np.empty(psi.size, dtype=complex)
-    rdms, by_size = [], {}
-    for i, group in enumerate(groups):
-        keep = sorted(state.position(lab) for lab in group)
-        np.copyto(moved, np.transpose(psi, keep + [p for p in range(n) if p not in keep]))
-        m = moved.reshape(1 << len(keep), -1)
-        rdms.append(m @ np.conjugate(m, out=conj.reshape(m.shape)).T)
-        by_size.setdefault(len(keep), []).append(i)
-    out = np.empty(len(rdms))
-    for idx in by_size.values():
-        out[idx] = spectral_entropy(np.linalg.eigvalsh(np.stack([rdms[i] for i in idx])))
+    block_states = []
+    for order, size in blocks:
+        np.copyto(moved, np.transpose(psi, order))
+        m = moved.reshape(1 << size, -1)
+        block_states.append(m @ np.conjugate(m, out=conj.reshape(m.shape)).T)
+    out = np.empty(len(groups))
+    for k, idx, parts in spectra:
+        rdms = np.concatenate([
+            np.einsum(subscripts, np.stack([block_states[b] for b in uses])
+                      .reshape((-1,) + (2,) * (2 * size))).reshape(-1, 1 << k, 1 << k)
+            for size, subscripts, uses in parts])
+        out[list(idx)] = spectral_entropy(np.linalg.eigvalsh(rdms))
     return out
 
 

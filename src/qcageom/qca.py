@@ -195,22 +195,30 @@ def _species_gates(config: QcaConfig, species: str) -> tuple[GateRecord, ...]:
     )
 
 
-def _controlled_update(psi: np.ndarray, coef: np.ndarray, gate: GateRecord) -> np.ndarray:
-    """Apply u_{2l+r} to `gate.target` of the register amplitudes `psi`.
+def _controlled_update(psi: np.ndarray, coef: np.ndarray, gate: GateRecord,
+                       out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Write u_{2l+r} applied to `gate.target` of the register amplitudes `psi` into `out`.
 
     l and r are the bits of the target's left and right neighbors, read
     only where the neighbor is one of `gate.controls`.  A neighbor that is
     not a control is the virtual |0> ancilla: a length-1 axis holding bit
-    0.  `coef[s, l, o, r]` is u_{2l+r}[o, s].  Raises InvariantError when
-    norm^2 drifts by more than ATOL.
+    0.  `coef[s, l, o, r]` is u_{2l+r}[o, s].  `out` and `scratch` are
+    2^N buffers that share no memory with `psi` or each other; every
+    product is written into them, so a gate makes no temporary, and the
+    sums are those of 0.0 + c0 v0 + c1 v1.  Returns `out`, or raises
+    InvariantError when norm^2 drifts by more than ATOL.
     """
     t = gate.target
     left = 2 if t - 1 in gate.controls else 1
     right = 2 if t + 1 in gate.controls else 1
     v = psi.reshape(1 << (t - left), left, 2, right, -1)
     c = coef[:, :left, :, :right, None]
-    # 0.0 + turns a zero product's -0.0 into +0.0, as a matrix product writes it
-    out = (0.0 + c[0] * v[:, :, :1] + c[1] * v[:, :, 1:]).reshape(-1)
+    shape = (v.shape[0], left, 2, right, v.shape[-1])
+    o, s = out.reshape(shape), scratch.reshape(shape)
+    np.multiply(c[0], v[:, :, :1], out=o)
+    # + 0.0 turns a zero product's -0.0 into +0.0, as a matrix product writes it
+    np.add(o, 0.0, out=o)
+    np.add(o, np.multiply(c[1], v[:, :, 1:], out=s), out=o)
     norm = norm2(out)
     if abs(norm - 1.0) > ATOL:
         raise InvariantError(f"unitary application drifted norm^2 to {norm!r}")
@@ -219,11 +227,17 @@ def _controlled_update(psi: np.ndarray, coef: np.ndarray, gate: GateRecord) -> n
 
 def _apply_gates(state: StateVector, rule: UpdateRule,
                  gates: tuple[GateRecord, ...]) -> StateVector:
-    """Evolve a register state through rule gate records, in order."""
+    """Evolve a register state through rule gate records, in order.
+
+    The gates write alternately into two reused buffers, and the
+    StateVector made at the end copies the last one.
+    """
     coef = np.array(rule.unitaries).reshape(2, 2, 2, 2).transpose(3, 0, 2, 1)
     psi = state.amplitudes
-    for gate in gates:
-        psi = _controlled_update(psi, coef, gate)
+    buffers = (np.empty_like(psi), np.empty_like(psi))
+    scratch = np.empty_like(psi)
+    for i, gate in enumerate(gates):
+        psi = _controlled_update(psi, coef, gate, buffers[i % 2], scratch)
     return StateVector(psi, state.labels)
 
 

@@ -281,10 +281,14 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:
-    """|<a|b>|^2 for two pure states of equal dimension."""
+    """|<a|b>|^2 for two pure states of equal dimension.
+
+    <a|b> is summed by einsum on the calling thread, not by BLAS zdotc,
+    for the reason given in `norm2`.
+    """
     if a.amplitudes.size != b.amplitudes.size:
         raise ValueError("fidelity requires states of equal dimension")
-    return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
+    return float(abs(np.einsum("i,i->", np.conjugate(a.amplitudes), b.amplitudes)) ** 2)
 
 
 def ppt_separable_2q(rho: DensityMatrix) -> bool:

@@ -1,6 +1,7 @@
 """End-to-end CLI runs: files, exit codes, determinism."""
 from __future__ import annotations
 
+import base64
 import cmath
 import json
 import math
@@ -299,6 +300,44 @@ class TestRunPi3:
              for idx, state in trace.snapshots], corner="layer")
         assert (tmp_path / "d" / "entropy.csv").read_text() == expected
 
+    def test_one_block_plan_per_run(self, tmp_path):
+        infogeo._block_plan.cache_clear()
+        code = run_cli("run", "--experiment", "pi3", "--n-sites", 8, "--seed-site", 4,
+                       "--pairs", "all_pairs", "--out", tmp_path / "d")
+        assert code == 0
+        info = infogeo._block_plan.cache_info()
+        assert (info.misses, info.hits) == (1, 16)  # 17 snapshots
+
+    def test_all_pairs_cells_match_a_per_pair_oracle(self, tmp_path):
+        n = 9
+        code = run_cli("run", "--experiment", "pi3", "--n-sites", n, "--seed-site", 4,
+                       "--steps", 9, "--pairs", "all_pairs", "--include-boundary",
+                       "--out", tmp_path / "d")
+        assert code == 0
+        out = tmp_path / "d"
+        snapshots = json.loads((out / "trace.json").read_text())["snapshots"]
+        _, layers, entropy = exports.parse_matrix_csv((out / "entropy.csv").read_text())
+        assert layers == [str(s["layer"]) for s in snapshots] and len(layers) == 19
+        labels = [str(lab) for lab in range(n + 2)]  # with the boundary at 0 and n+1
+        for snap, row in zip(snapshots, entropy):
+            amps = np.frombuffer(base64.b64decode(snap["amplitudes_b64"]), dtype="<c16")
+            psi = amps.reshape((2,) * n)
+            s_site = [oracle_entropy(psi, [p]) for p in range(n)]
+            assert all(csv_close(v, s) for v, s in zip(row, s_site))
+            cols, rows, values = exports.parse_matrix_csv(
+                (out / f"distance_step_{snap['layer']:04d}.csv").read_text())
+            assert cols == rows == labels
+            s = [0.0, *s_site, 0.0]  # a boundary ancilla is |0>
+            for a in range(n + 2):
+                assert values[a, a] == 0.0
+                for b in range(a + 1, n + 2):
+                    if 0 < a and b <= n:
+                        s_ab = oracle_entropy(psi, [a - 1, b - 1])
+                    else:
+                        s_ab = s[a] + s[b]
+                    d = 2.0 * s_ab - s[a] - s[b]
+                    assert csv_close(values[a, b], d) and values[b, a] == values[a, b]
+
     def test_runs_without_vdot(self, tmp_path, monkeypatch, as_v1):
         # every norm check avoids BLAS zdotc, which OpenBLAS may run threaded
         def no_vdot(*args, **kwargs):
@@ -325,6 +364,22 @@ class TestRunPi3:
                        "--out", tmp_path / "d17")
         assert code == 2
         assert not (tmp_path / "d17").exists()
+
+
+def oracle_entropy(psi: np.ndarray, keep: list[int]) -> float:
+    """S in bits of `psi` reduced to the axes `keep`: one transpose, one eigvalsh."""
+    rest = [p for p in range(psi.ndim) if p not in keep]
+    m = np.transpose(psi, keep + rest).reshape(1 << len(keep), -1)
+    lam = np.linalg.eigvalsh(m @ m.conj().T)
+    lam = lam[lam > 1e-12]
+    return float(0.0 - np.sum(lam * np.log2(lam)))
+
+
+def csv_close(cell: float, expect: float) -> bool:
+    """A cell written at 12 significant digits is `expect` to 1e-12 past that rounding."""
+    big = max(abs(cell), abs(expect))
+    rounding = 0.5 * 10.0 ** (math.floor(math.log10(big)) - 11) if big else 0.0
+    return abs(cell - expect) <= 1e-12 + rounding
 
 
 class TestSweepCommands:

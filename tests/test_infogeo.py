@@ -5,7 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qcageom import infogeo
 from qcageom.infogeo import (
     DistanceField,
     block_structure_report,
@@ -245,6 +247,35 @@ class TestBatchedKernel:
             state = pure_family_state(z)
             expect = info_distance(partial_trace(state, {0, 1}), {0}, {1})
             assert dp == pytest.approx(expect, abs=1e-12)
+
+
+class TestBlockPass:
+    """Sites and pairs read from block states, against `partial_trace`."""
+
+    # deadline=None: single examples at N=10 vary in time on a loaded machine
+    @settings(deadline=None)
+    @given(st.data())
+    def test_matches_partial_trace_and_ignores_other_groups(self, data):
+        n = data.draw(st.integers(1, 10), label="n")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        labels = tuple(int(x) for x in rng.permutation(np.arange(20, 20 + 2 * n, 2)))
+        amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        state = StateVector(amps / np.linalg.norm(amps), labels)
+        group = st.lists(st.sampled_from(labels), min_size=1, max_size=min(n, 2),
+                         unique=True).map(tuple)
+        groups = data.draw(st.lists(group, min_size=1, max_size=12), label="groups")
+        entropies = infogeo._reduced_entropies(state, groups)
+        for g, s in zip(groups, entropies):
+            assert abs(s - von_neumann_entropy(partial_trace(state, g))) <= 1e-12
+            assert infogeo._reduced_entropies(state, [g])[0] == s
+
+    def test_all_pairs_builds_one_block_per_pair_of_chunks(self):
+        groups = tuple((p,) for p in range(14)) + tuple(
+            (p, q) for p in range(14) for q in range(p + 1, 14))
+        blocks, _ = infogeo._block_plan(14, groups)
+        assert sorted(size for _, size in blocks) == [4] * 21
+        blocks, _ = infogeo._block_plan(13, groups[:13])  # sites; chunk 6 is {12}
+        assert sorted(size for _, size in blocks) == [3] + [4] * 5
 
 
 class TestSeparabilityWitness:

@@ -281,15 +281,47 @@ class TestRun:
         applied = []
         kernel = qca._controlled_update
 
-        def spy(psi, coef, gate):
+        def spy(psi, coef, gate, out, scratch):
             applied.append(gate)
-            return kernel(psi, coef, gate)
+            return kernel(psi, coef, gate, out, scratch)
 
         monkeypatch.setattr(qca, "_controlled_update", spy)
         trace, _ = ghz_experiment(6)  # two run layers, the extra B layer, a phase layer
         recorded = [g for layer in trace.layers if layer.species != "phase" for g in layer.gates]
         assert len(applied) == len(recorded) == 9
         assert all(a is r for a, r in zip(applied, recorded))
+
+    @pytest.mark.parametrize("n", [2, 3, 6, 7])
+    def test_snapshots_are_reevolutions_in_their_own_memory(self, n):
+        # the kernel writes into reused buffers, so a snapshot that kept one
+        # would change under the next layer
+        config = QcaConfig(n_sites=n, rule=random_rule())
+        trace = run(config, 3, random_register_state(config))
+        states = [state for _, state in trace.snapshots]
+        for layer, before, after in zip(trace.layers, states, states[1:]):
+            again = species_update(before, config, layer.species)
+            assert again.amplitudes.tobytes() == after.amplitudes.tobytes()
+        for i, a in enumerate(states):
+            for b in states[i + 1:]:
+                assert not np.shares_memory(a.amplitudes, b.amplitudes)
+
+    def test_kernel_matches_its_expression_with_temporaries(self):
+        config = QcaConfig(n_sites=5, rule=random_rule())
+        coef = np.array(config.rule.unitaries).reshape(2, 2, 2, 2).transpose(3, 0, 2, 1)
+        psi = random_register_state(config).amplitudes
+        out, scratch = np.empty_like(psi), np.empty_like(psi)
+        for species in ("B", "A"):
+            for gate in qca._species_gates(config, species):
+                t = gate.target
+                left = 2 if t - 1 in gate.controls else 1
+                right = 2 if t + 1 in gate.controls else 1
+                v = psi.reshape(1 << (t - left), left, 2, right, -1)
+                c = coef[:, :left, :, :right, None]
+                expect = (0.0 + c[0] * v[:, :, :1] + c[1] * v[:, :, 1:]).reshape(-1)
+                got = qca._controlled_update(psi, coef, gate, out, scratch)
+                assert got is out
+                assert got.tobytes() == expect.tobytes()
+                psi = got.copy()
 
     def test_determinism_bit_exact(self):
         config = QcaConfig(n_sites=6, rule=PI3_RULE)
