@@ -6,6 +6,16 @@ string "nan" in CSV and null in JSON mark pairs that were not computed;
 zero is a meaningful distance and never doubles as a marker.  Traces
 are written as v2 (register-only snapshots) and read as v2 or as v1
 (snapshots with the boundary ancillae).
+
+Reading a trace checks every field at load: the format, the config and
+its rule matrices, the labels, each layer and gate, each snapshot's layer
+index, and that each snapshot's `amplitudes_b64` is a string of exactly
+the base64 length of its amplitudes.  A v2 snapshot's amplitudes are
+decoded only when the snapshot is read, and each read decodes it again:
+the base64 itself, finiteness and the norm are checked then.  So
+`topology --trace` reads no amplitudes, and `distance-matrix` reads one
+snapshot.  A v1 trace is decoded whole at load, because each of its
+snapshots must show its boundary ancillae in |0>.
 """
 from __future__ import annotations
 
@@ -13,7 +23,7 @@ import base64
 import json
 import math
 from pathlib import Path
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
@@ -133,7 +143,7 @@ def _amplitudes_b64(state: StateVector) -> bytes:
 
 def _snapshot_from_b64(text: str, config: QcaConfig, v1: bool, layer: int) -> StateVector:
     """A snapshot's register state; the ancillae of a v1 snapshot must be in |0>."""
-    amps = np.frombuffer(base64.b64decode(text), dtype="<c16").astype(complex)
+    amps = np.frombuffer(base64.b64decode(text), dtype="<c16")  # StateVector copies it
     if v1:
         psi = amps.reshape(2, -1, 2)
         pop = max(norm2(off) for off in (psi[1], psi[:, :, 1]))
@@ -141,6 +151,31 @@ def _snapshot_from_b64(text: str, config: QcaConfig, v1: bool, layer: int) -> St
             raise ValueError(f"boundary qubit at layer {layer} has |1> population {pop:.3g}")
         amps = psi[0, :, 0]
     return StateVector(amps, config.register_sites)
+
+
+class _EncodedSnapshots(Sequence):
+    """The snapshots of a loaded trace, each decoded from its base64 text when read.
+
+    Nothing is cached: every read decodes and checks the entry again.
+    """
+
+    def __init__(self, entries: list[tuple[int, str]], config: QcaConfig, v1: bool):
+        self.layers = tuple(layer for layer, _ in entries)
+        self._texts = tuple(text for _, text in entries)
+        self._config, self._v1 = config, v1
+
+    def __len__(self) -> int:
+        return len(self._texts)
+
+    def __iter__(self):
+        # not Sequence's own, which would end quietly at an IndexError from a decode
+        return (self[i] for i in range(len(self)))
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(len(self))[i])
+        layer = self.layers[i]
+        return layer, _snapshot_from_b64(self._texts[i], self._config, self._v1, layer)
 
 
 def trace_to_json_obj(trace: RunTrace, include_snapshots: bool = True) -> dict:
@@ -230,15 +265,21 @@ def _trace_from_fields(obj: dict, v1: bool) -> RunTrace:
         )
         for i, l in enumerate(obj["layers"], start=1)
     )
-    snapshots: list[tuple[int, StateVector]] = []
+    b64_len = 4 * -(-(16 << (n + 2 * v1)) // 3)  # 2^N complex128, with the v1 ancillae
+    entries: list[tuple[int, str]] = []
     for s in obj.get("snapshots", []):
-        first = snapshots[-1][0] + 1 if snapshots else 0
+        first = entries[-1][0] + 1 if entries else 0
         layer = _int(s["layer"], "snapshot layer", first, len(layers))
-        snapshots.append((layer, _snapshot_from_b64(s["amplitudes_b64"], config, v1, layer)))
+        text = s["amplitudes_b64"]
+        if not isinstance(text, str) or len(text) != b64_len:
+            raise ValueError(f"malformed trace: amplitudes of the snapshot at layer {layer} "
+                             f"are not {b64_len} characters of base64")
+        entries.append((layer, text))
     granularity = _choice(obj["granularity"], "granularity",
                           ("per_species_layer", "per_global_step"))
-    return RunTrace(config=config, granularity=granularity,
-                    layers=layers, snapshots=tuple(snapshots))
+    snapshots = _EncodedSnapshots(entries, config, v1) if entries else ()
+    return RunTrace(config=config, granularity=granularity, layers=layers,
+                    snapshots=tuple(snapshots) if v1 else snapshots)
 
 
 def save_trace(path: Path, trace: RunTrace, include_snapshots: bool = True) -> None:

@@ -293,11 +293,17 @@ def block_structure_report(
     positive_tol: float = 1e-6,
     seed_site: int | None = None,
 ) -> BlockReport:
-    """Partition sites by null distances and test the block pattern."""
+    """Partition sites by null distances and test the block pattern.
+
+    `seed_site`, which puts its own region first, must be one of the
+    field's labels.
+    """
     labels = field.labels
     n = len(labels)
     if np.any(np.isnan(field.values)):
         raise ValueError("block structure needs an all-pairs field")
+    if seed_site is not None and seed_site not in labels:
+        raise ValueError(f"seed site {seed_site} is not one of the sites {list(labels)}")
     parent = list(range(n))
 
     def find(x):

@@ -17,6 +17,7 @@ it stores, so the causal poset is built from the gates that were applied.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,17 +168,24 @@ class RunTrace:
     config: QcaConfig
     granularity: str
     layers: tuple[LayerRecord, ...]
-    snapshots: tuple[tuple[int, StateVector], ...]
+    #: (layer index, state after that layer), in layer order.  `run` builds
+    #: a tuple.  A trace loaded by `exports` holds a read-only sequence that
+    #: decodes and checks an entry each time it is indexed or iterated, and
+    #: that names the layers it holds in its `layers` attribute.
+    snapshots: Sequence[tuple[int, StateVector]]
 
     @property
     def n_layers(self) -> int:
         return len(self.layers)
 
     def snapshot_at_layer(self, layer: int) -> StateVector:
-        for idx, state in self.snapshots:
-            if idx == layer:
-                return state
-        raise ValueError(f"no snapshot recorded at layer {layer}")
+        """The snapshot recorded after `layer`; no other snapshot is decoded."""
+        layers = getattr(self.snapshots, "layers", None)
+        if layers is None:
+            layers = [idx for idx, _ in self.snapshots]
+        if layer not in layers:
+            raise ValueError(f"no snapshot recorded at layer {layer}")
+        return self.snapshots[layers.index(layer)][1]
 
 
 def _control_sites(site: int, n_sites: int) -> tuple[int, ...]:

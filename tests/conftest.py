@@ -22,6 +22,6 @@ def _as_v1(obj: dict, left=KET0, right=KET0) -> dict:
     return out
 
 
-@pytest.fixture
+@pytest.fixture(scope="session")  # a pure function: hypothesis tests may share it
 def as_v1():
     return _as_v1

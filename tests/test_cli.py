@@ -489,6 +489,16 @@ class TestDistanceMatrixCommand:
         assert code == 3
 
 
+    @pytest.mark.parametrize("seed_site", [99, 0])
+    def test_seed_site_outside_the_field_exit_2(self, tmp_path, capsys, seed_site):
+        run_cli("run", "--experiment", "ghz", "--n-sites", 8, "--out", tmp_path / "g")
+        code = run_cli("distance-matrix", "--trace", tmp_path / "g" / "trace.json",
+                       "--step", 2, "--seed-site", seed_site, "--out", tmp_path / "dm")
+        assert code == 2
+        assert f"seed site {seed_site} is not one of the sites" in capsys.readouterr().err
+        assert not (tmp_path / "dm").exists()
+
+
 class TestTopologyCommands:
     def test_run_topology(self, tmp_path, capsys):
         code = run_cli("run", "--experiment", "topology", "--n-sites", 6,
@@ -592,6 +602,95 @@ class TestTraceInputErrors:
                        "--out", tmp_path / "dm")
         assert code == 2
         assert not (tmp_path / "dm").exists()
+
+
+@pytest.fixture(scope="module")
+def pi3_trace(tmp_path_factory) -> Path:
+    """A pi3 N=6 trace with 7 snapshots; tests write mangled copies of it."""
+    out = tmp_path_factory.mktemp("pi3")
+    assert run_cli("run", "--experiment", "pi3", "--n-sites", 6, "--seed-site", 3,
+                   "--steps", 3, "--out", out) == 0
+    return out / "trace.json"
+
+
+def _mangled_copy(src: Path, dst: Path, snapshot: int, mangle) -> Path:
+    obj = json.loads(src.read_text())
+    snap = obj["snapshots"][snapshot]
+    snap["amplitudes_b64"] = mangle(snap["amplitudes_b64"])
+    dst.write_text(json.dumps(obj))
+    return dst
+
+
+def _doubled_norm(text: str) -> str:
+    amps = np.frombuffer(base64.b64decode(text), dtype="<c16") * 2.0
+    return base64.b64encode(amps.astype("<c16").tobytes()).decode()
+
+
+def _tree_bytes(root: Path) -> dict:
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*"))}
+
+
+class TestSnapshotReads:
+    """Which snapshot checks run when the trace is loaded, and which when a snapshot is read."""
+
+    @pytest.mark.parametrize("mangle", [lambda t: t[:-4], lambda t: None, lambda t: 12],
+                             ids=["truncated", "null", "number"])
+    @pytest.mark.parametrize("command", [
+        ("topology", "--i-max", 3),
+        ("distance-matrix", "--step", 0),
+    ], ids=["topology", "distance-matrix"])
+    def test_bad_text_exit_2_at_load(self, tmp_path, capsys, pi3_trace, mangle, command):
+        bad = _mangled_copy(pi3_trace, tmp_path / "bad.json", 4, mangle)
+        code = run_cli(*command, "--trace", bad, "--out", tmp_path / "o")
+        assert code == 2
+        assert "snapshot at layer 4" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_broken_norm_fails_only_where_read(self, tmp_path, capsys, pi3_trace):
+        bad = _mangled_copy(pi3_trace, tmp_path / "bad.json", 4, _doubled_norm)
+        code = run_cli("distance-matrix", "--trace", bad, "--step", 4, "--out", tmp_path / "d4")
+        assert code == 3
+        assert "norm^2" in capsys.readouterr().err
+        assert not (tmp_path / "d4").exists()
+        for trace, out in ((bad, "d3"), (pi3_trace, "c3")):
+            assert run_cli("distance-matrix", "--trace", trace, "--step", 3,
+                           "--out", tmp_path / out) == 0
+        assert _tree_bytes(tmp_path / "d3") == _tree_bytes(tmp_path / "c3")
+        for trace, out in ((bad, "t"), (pi3_trace, "ct")):
+            assert run_cli("topology", "--trace", trace, "--i-max", 3,
+                           "--out", tmp_path / out) == 0
+        assert _tree_bytes(tmp_path / "t") == _tree_bytes(tmp_path / "ct")
+
+    @pytest.fixture
+    def decodes(self, monkeypatch) -> list:
+        """The layer of each snapshot decoded, in order."""
+        seen = []
+        decode = exports._snapshot_from_b64
+
+        def spy(text, config, v1, layer):
+            seen.append(layer)
+            return decode(text, config, v1, layer)
+
+        monkeypatch.setattr(exports, "_snapshot_from_b64", spy)
+        return seen
+
+    def test_topology_decodes_no_snapshot(self, tmp_path, pi3_trace, decodes):
+        assert run_cli("topology", "--trace", pi3_trace, "--out", tmp_path / "t") == 0
+        assert decodes == []
+
+    def test_distance_matrix_decodes_one_snapshot(self, tmp_path, pi3_trace, decodes):
+        assert run_cli("distance-matrix", "--trace", pi3_trace, "--step", 5,
+                       "--out", tmp_path / "d") == 0
+        assert decodes == [5]
+
+    def test_reads_decode_what_they_return(self, pi3_trace, decodes):
+        trace = exports.load_trace(pi3_trace)
+        assert decodes == []
+        trace.snapshot_at_layer(4)
+        assert decodes == [4]
+        decodes.clear()
+        assert [idx for idx, _ in trace.snapshots] == list(range(7))
+        assert decodes == list(range(7))
 
 
 class TestOutputs:

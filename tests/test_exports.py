@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qcageom import exports
 from qcageom.infogeo import DistanceField, distance_field, werner_sweep
@@ -203,6 +204,62 @@ class TestTraceRoundtrip:
         back = exports.load_trace(tmp_path / "t.json")
         assert np.array_equal(back.snapshots[-1][1].amplitudes,
                               trace.snapshots[-1][1].amplitudes)
+
+
+#: Values that replace a field of a trace: every JSON type, and numbers out of range.
+_JUNK = st.one_of(st.none(), st.booleans(), st.integers(-2, 20), st.floats(),
+                  st.text(max_size=4), st.lists(st.integers(0, 3), max_size=3),
+                  st.dictionaries(st.sampled_from(["layer", "index"]), st.integers(0, 3)))
+
+
+def _alter_b64(draw, obj: dict) -> None:
+    """Truncate one snapshot's base64 text, replace one of its characters, or retype it."""
+    snap = draw(st.sampled_from(obj["snapshots"]))
+    text = snap["amplitudes_b64"]
+    if not isinstance(text, str):
+        return
+    i = draw(st.integers(0, max(len(text) - 1, 0)))
+    how = draw(st.sampled_from(["truncate", "replace", "retype"]))
+    if how == "truncate":
+        snap["amplitudes_b64"] = text[:i]
+    elif how == "replace":
+        snap["amplitudes_b64"] = text[:i] + draw(st.sampled_from("A/+=!\u00e9\n")) + text[i + 1:]
+    else:
+        snap["amplitudes_b64"] = draw(_JUNK)
+
+
+def _alter_field(draw, obj: dict) -> None:
+    """Drop, or replace with junk, a field reached by a random walk from the top."""
+    parent, key, node = None, None, obj
+    while isinstance(node, (dict, list)) and node and (parent is None or draw(st.booleans())):
+        key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+        parent, node = node, node[key]
+    if draw(st.booleans()):
+        del parent[key]
+    else:
+        parent[key] = draw(_JUNK)
+
+
+class TestTraceFuzz:
+    @settings(deadline=None)
+    @given(st.data())
+    def test_mutated_trace_loads_or_raises_value_error(self, as_v1, data):
+        config = QcaConfig(n_sites=3, rule=PI3_RULE)
+        obj = json.loads(exports.json_dumps(exports.trace_to_json_obj(
+            run(config, 1, initial_state(config, {2: KET_PLUS})))))
+        if data.draw(st.booleans(), label="v1"):
+            obj = as_v1(obj)
+        n_b64 = data.draw(st.integers(0, 2), label="base64 mutations")
+        for _ in range(n_b64):
+            _alter_b64(data.draw, obj)
+        for _ in range(data.draw(st.integers(0 if n_b64 else 1, 2), label="field mutations")):
+            _alter_field(data.draw, obj)
+        try:
+            trace = exports.trace_from_json_obj(obj)
+            for _, state in trace.snapshots:
+                assert state.n_qubits == 3
+        except ValueError:  # InvariantError included
+            pass
 
 
 class TestDeterminism:
