@@ -38,8 +38,9 @@ def _reduced_entropy(joint: DensityMatrix, part: set[int]) -> float:
     return von_neumann_entropy(partial_trace(joint, part))
 
 
-def info_distance(joint: DensityMatrix, part_a: Iterable[int], part_b: Iterable[int]) -> float:
-    """2 S(AB) - S(A) - S(B) over reductions of `joint`, in bits."""
+def _parts(joint: DensityMatrix, part_a: Iterable[int],
+           part_b: Iterable[int]) -> tuple[set[int], set[int]]:
+    """The two parts as sets; ValueError unless both are nonempty, disjoint labels of `joint`."""
     a, b = set(part_a), set(part_b)
     if not a or not b:
         raise ValueError("both parts must be nonempty")
@@ -48,20 +49,19 @@ def info_distance(joint: DensityMatrix, part_a: Iterable[int], part_b: Iterable[
     missing = (a | b) - set(joint.labels)
     if missing:
         raise ValueError(f"labels {sorted(missing)!r} not in the joint state")
+    return a, b
+
+
+def info_distance(joint: DensityMatrix, part_a: Iterable[int], part_b: Iterable[int]) -> float:
+    """2 S(AB) - S(A) - S(B) over reductions of `joint`, in bits."""
+    a, b = _parts(joint, part_a, part_b)
     s_ab = _reduced_entropy(joint, a | b)
     return 2.0 * s_ab - _reduced_entropy(joint, a) - _reduced_entropy(joint, b)
 
 
 def mutual_information(joint: DensityMatrix, part_a: Iterable[int], part_b: Iterable[int]) -> float:
     """S(A) + S(B) - S(AB) in bits."""
-    a, b = set(part_a), set(part_b)
-    if not a or not b:
-        raise ValueError("both parts must be nonempty")
-    if a & b:
-        raise ValueError("parts must be disjoint")
-    missing = (a | b) - set(joint.labels)
-    if missing:
-        raise ValueError(f"labels {sorted(missing)!r} not in the joint state")
+    a, b = _parts(joint, part_a, part_b)
     return _reduced_entropy(joint, a) + _reduced_entropy(joint, b) - _reduced_entropy(joint, a | b)
 
 

@@ -127,6 +127,8 @@ def test_outputs_do_not_depend_on_blas_threads(tmp_path):
     run_both("pi3", "run", "--experiment", "pi3", "--n-sites", 10, "--seed-site", 4,
              "--pairs", "all_pairs")
     run_both("ghz", "run", "--experiment", "ghz", "--n-sites", 14)
+    run_both("prop", "run", "--experiment", "propagate", "--n-sites", 12,
+             "--psi", "0.6+0.2i,0.3-0.7i")
     run_both("dm", "distance-matrix", "--trace", tmp_path / "1" / "pi3" / "trace.json",
              "--step", 12)
     one = sorted(p.relative_to(tmp_path / "1") for p in (tmp_path / "1").rglob("*"))

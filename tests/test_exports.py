@@ -160,6 +160,8 @@ class TestTraceRoundtrip:
         lambda o: o["snapshots"][2].__setitem__("layer", 1),
         lambda o: o["config"].__setitem__("n_sites", 6.0),
         lambda o: o.__setitem__("labels", list(range(8))),
+        lambda o: o["config"]["rule"].__setitem__("name", [1, {"a": None}]),
+        lambda o: o["config"]["rule"].__setitem__("name", 3),
     ])
     def test_malformed_fields_raise_value_error(self, mangle):
         config = QcaConfig(n_sites=6, rule=PI3_RULE)

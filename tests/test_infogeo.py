@@ -107,6 +107,18 @@ class TestInfoDistance:
             assert d <= 1e-9
 
 
+@pytest.mark.parametrize("func", [info_distance, mutual_information])
+@pytest.mark.parametrize("part_a, part_b, message", [
+    (set(), {1}, "both parts must be nonempty"),
+    ({0}, [], "both parts must be nonempty"),
+    ({0, 1}, {1}, "parts must be disjoint"),
+    ({0}, (5, 7), r"labels \[5, 7\] not in the joint state"),
+])
+def test_bad_parts_rejected(func, part_a, part_b, message):
+    with pytest.raises(ValueError, match=message):
+        func(pure_density(basis_state("00")), part_a, part_b)
+
+
 class TestMutualInformation:
     def test_examples(self):
         assert mutual_information(pure_density(bell_plus()), {0}, {1}) == pytest.approx(2.0, abs=1e-9)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from qcageom import qca
+from qcageom import qca, statealg
 from qcageom.qca import (
     PI3_RULE,
     PULSE_RULE,
@@ -285,11 +285,24 @@ class TestRun:
             applied.append(gate)
             return kernel(psi, coef, gate, out, scratch)
 
+        def no_blas(*args, **kwargs):
+            raise AssertionError("a gate went through statealg.apply_unitary")
+
         monkeypatch.setattr(qca, "_controlled_update", spy)
-        trace, _ = ghz_experiment(6)  # two run layers, the extra B layer, a phase layer
-        recorded = [g for layer in trace.layers if layer.species != "phase" for g in layer.gates]
-        assert len(applied) == len(recorded) == 9
-        assert all(a is r for a, r in zip(applied, recorded))
+        monkeypatch.setattr(qca, "apply_unitary", no_blas)
+        monkeypatch.setattr(statealg, "apply_unitary", no_blas)
+        for experiment, n_gates in (
+            # two run layers, the extra B layer, a phase layer
+            (lambda: ghz_experiment(6)[0], 10),
+            # four run layers of two gates, a phase layer
+            (lambda: propagate_experiment(4, KET_PLUS)[0], 9),
+            (lambda: pi3_experiment(5, 2, 2), 10),
+        ):
+            applied.clear()
+            trace = experiment()
+            recorded = [g for layer in trace.layers for g in layer.gates]
+            assert len(applied) == len(recorded) == n_gates
+            assert all(a is r for a, r in zip(applied, recorded))
 
     @pytest.mark.parametrize("n", [2, 3, 6, 7])
     def test_snapshots_are_reevolutions_in_their_own_memory(self, n):
@@ -334,8 +347,12 @@ class TestRun:
 
     def test_zero_amplitudes_are_positive_zero(self):
         """Saved traces encode +0.0, as a matrix product writes it, never -0.0."""
-        for seed_site in (1, 3, 6):
-            for _, state in pi3_experiment(6, seed_site, 4).snapshots:
+        traces = [pi3_experiment(6, seed_site, 4) for seed_site in (1, 3, 6)]
+        traces += [propagate_experiment(n, np.array(psi))[0]
+                   for n in (2, 6) for psi in ((0, 1), (1, 0), (0.6 + 0.2j, 0.3 - 0.7j))]
+        traces += [ghz_experiment(n)[0] for n in (4, 6, 8)]
+        for trace in traces:
+            for _, state in trace.snapshots:
                 parts = state.amplitudes.view(float)
                 assert not np.any(np.signbit(parts[parts == 0.0]))
 
