@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import itertools
 import os
 import sys
@@ -112,26 +113,23 @@ def _snapshot_field(trace: qca.RunTrace, idx: int, state, pairs: str,
 def _write_distance_outputs(out: _Outputs, trace: qca.RunTrace, pairs: str,
                             include_boundary: bool, pgm: bool) -> list[infogeo.DistanceField]:
     """Write one distance CSV per snapshot; return the fields."""
-    fields, nn_rows = [], []
+    fields = []
     for idx, state in trace.snapshots:
         field = _snapshot_field(trace, idx, state, pairs, include_boundary)
         fields.append(field)
         out.write_text(f"distance_step_{idx:04d}.csv", exports.distance_field_csv(field))
-        if pairs == "nearest_neighbor":
-            nn_rows.append((idx, np.diagonal(field.values, 1)))
-    if nn_rows:
-        text = exports.series_csv(_pair_columns(fields[0].labels), nn_rows, corner="layer")
-        out.write_text("nn_distance.csv", text)
-        if pgm:
-            out.write_pgm("nn_distance.pgm", np.array([r for _, r in nn_rows]))
+    if fields and pairs == "nearest_neighbor":
+        _write_site_series(out, "nn_distance", _pair_columns(fields[0].labels),
+                           [f.time_step for f in fields],
+                           [np.diagonal(f.values, 1) for f in fields], pgm)
     return fields
 
 
-def _write_site_series(out: _Outputs, columns, name: str, rows, pgm: bool) -> None:
-    """`name`.csv: one row (snapshot index, a value per register site) per snapshot."""
-    out.write_text(f"{name}.csv", exports.series_csv(columns, rows, corner="layer"))
+def _write_site_series(out: _Outputs, name: str, columns, layers, rows, pgm: bool) -> None:
+    """`name`.csv: one row (snapshot layer, a value per column) per snapshot."""
+    out.write_text(f"{name}.csv", exports.matrix_csv(columns, layers, rows, corner="layer"))
     if pgm:
-        out.write_pgm(f"{name}.pgm", np.array([r for _, r in rows]))
+        out.write_pgm(f"{name}.pgm", np.array(rows))
 
 
 def _block_report_obj(field: infogeo.DistanceField, seed_site: int | None) -> dict:
@@ -149,8 +147,9 @@ def _maybe_save_trace(out: _Outputs, trace: qca.RunTrace, args) -> None:
     # The topology experiment's snapshots are all the same all-|0> fixed
     # point, and `topology --trace` reads only the layers.
     if args.save_trace:
-        snapshots = not args.no_snapshots and args.experiment != "topology"
-        out.write("trace.json", exports.save_trace, trace, snapshots)
+        if args.no_snapshots or args.experiment == "topology":
+            trace = dataclasses.replace(trace, snapshots=())
+        out.write("trace.json", exports.save_trace, trace)
 
 
 _STATE_EXPERIMENTS = ("propagate", "ghz", "pi3")
@@ -204,12 +203,12 @@ def _cmd_run(args, out: _Outputs) -> int:
     if args.experiment == "pi3":
         # S(q) from the reduced-state pass that built each snapshot's field
         series = "entropy"
-        rows = [(f.time_step, [f.site_entropies[s] for s in sites]) for f in fields]
+        rows = [[f.site_entropies[s] for s in sites] for f in fields]
     else:
         series = "p1"
-        rows = [(idx, list(qca.occupation_probabilities(state).values()))
-                for idx, state in trace.snapshots]
-    _write_site_series(out, sites, series, rows, args.pgm)
+        rows = [list(qca.occupation_probabilities(state).values())
+                for _, state in trace.snapshots]
+    _write_site_series(out, series, sites, [f.time_step for f in fields], rows, args.pgm)
     if args.experiment == "ghz":
         if args.pairs != "all_pairs" or args.include_boundary:
             # The block reports need register-only all-pairs fields.
@@ -253,10 +252,9 @@ def _emit_topology(out: _Outputs, trace: qca.RunTrace, slice_layer: int,
     base = causal.slice_antichain(poset, slice_layer)
     result = topo.stable_complex(poset, base, i_max, controlled_simplification=simplify)
     width = max((len(b) for _, b in result.filtration), default=1)
-    rows = [["thickness", *[f"b{k}" for k in range(width)]]]
-    for t, b in result.filtration:
-        rows.append([str(t), *[str(x) for x in (*b, *([0] * (width - len(b))))]])
-    out.write_text("betti_filtration.csv", "\n".join(",".join(r) for r in rows) + "\n")
+    out.write_text("betti_filtration.csv", exports.matrix_csv(
+        [f"b{k}" for k in range(width)], [t for t, _ in result.filtration],
+        [(*b, *[0] * (width - len(b))) for _, b in result.filtration], corner="thickness"))
     out.write_json("stable.json", {
         "t_star": result.t_star,
         "note": result.note,

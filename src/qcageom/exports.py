@@ -20,6 +20,7 @@ snapshots must show its boundary ancillae in |0>.
 from __future__ import annotations
 
 import base64
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -55,8 +56,9 @@ def write_json(path: Path, obj) -> None:
         fh.write("\n")
 
 
-def matrix_csv(col_labels: Sequence, row_labels: Sequence, values: np.ndarray,
+def matrix_csv(col_labels: Sequence, row_labels: Iterable, values: Iterable[Iterable],
                corner: str = "label") -> str:
+    """The one CSV table layout: a header row, then a label and its values per row."""
     lines = [",".join([corner, *map(str, col_labels)])]
     for lab, row in zip(row_labels, values):
         lines.append(",".join([str(lab), *(fmt12(float(v)) for v in row)]))
@@ -84,19 +86,7 @@ def distance_field_json_obj(field: DistanceField) -> dict:
 
 
 def sweep_csv(curve: SweepCurve) -> str:
-    lines = ["z,delta"]
-    for z, v in zip(curve.grid, curve.values):
-        lines.append(f"{fmt12(z)},{fmt12(v)}")
-    return "\n".join(lines) + "\n"
-
-
-def series_csv(col_labels: Sequence, rows: Iterable[tuple[int, Sequence[float]]],
-               corner: str = "step") -> str:
-    """Time series of per-site values, one row per recorded step."""
-    lines = [",".join([corner, *map(str, col_labels)])]
-    for step, vals in rows:
-        lines.append(",".join([str(step), *(fmt12(float(v)) for v in vals)]))
-    return "\n".join(lines) + "\n"
+    return matrix_csv(["delta"], map(fmt12, curve.grid), ([v] for v in curve.values), corner="z")
 
 
 def write_pgm(path: Path, matrix: np.ndarray) -> dict:
@@ -178,7 +168,8 @@ class _EncodedSnapshots(Sequence):
         return layer, _snapshot_from_b64(self._texts[i], self._config, self._v1, layer)
 
 
-def trace_to_json_obj(trace: RunTrace, include_snapshots: bool = True) -> dict:
+def trace_to_json_obj(trace: RunTrace) -> dict:
+    """The trace as JSON; "snapshots" is there exactly when the trace holds some."""
     cfg = trace.config
     obj = {
         "format": TRACE_FORMAT,
@@ -204,7 +195,7 @@ def trace_to_json_obj(trace: RunTrace, include_snapshots: bool = True) -> dict:
             for layer in trace.layers
         ],
     }
-    if include_snapshots:
+    if trace.snapshots:
         obj["snapshots"] = [
             {"layer": idx, "amplitudes_b64": _amplitudes_b64(state).decode("ascii")}
             for idx, state in trace.snapshots
@@ -282,17 +273,17 @@ def _trace_from_fields(obj: dict, v1: bool) -> RunTrace:
                     snapshots=tuple(snapshots) if v1 else snapshots)
 
 
-def save_trace(path: Path, trace: RunTrace, include_snapshots: bool = True) -> None:
-    """Write `json_dumps(trace_to_json_obj(trace, include_snapshots))` to `path`.
+def save_trace(path: Path, trace: RunTrace) -> None:
+    """Write `json_dumps(trace_to_json_obj(trace))` to `path`.
 
     The snapshots are written one at a time, each base64 string straight
     to the file, so at most one snapshot's encoding is held at once.
     "snapshots" sorts after every other key, so the rest of the object is
     dumped first, with its closing brace left off.
     """
-    head = json_dumps(trace_to_json_obj(trace, include_snapshots=False))
+    head = json_dumps(trace_to_json_obj(dataclasses.replace(trace, snapshots=())))
     with open(path, "wb") as fh:
-        if not include_snapshots:
+        if not trace.snapshots:
             fh.write(head.encode("ascii"))
             return
         fh.write(head[:-3].encode("ascii"))  # drop "\n}\n"
@@ -303,7 +294,7 @@ def save_trace(path: Path, trace: RunTrace, include_snapshots: bool = True) -> N
             fh.write(_amplitudes_b64(state))
             fh.write(b'",\n      "layer": %d\n    }' % idx)
             sep = b",\n"
-        fh.write(b"\n  ]\n}\n" if trace.snapshots else b"]\n}\n")
+        fh.write(b"\n  ]\n}\n")
 
 
 def load_trace(path: Path) -> RunTrace:

@@ -220,7 +220,7 @@ def _controlled_update(psi: np.ndarray, coef: np.ndarray, gate: GateRecord,
     2^N buffers that share no memory with `psi` or each other; every
     product is written into them, so a gate makes no temporary, and the
     sums are those of 0.0 + c0 v0 + c1 v1.  Returns `out`, or raises
-    InvariantError when norm^2 drifts by more than ATOL.
+    InvariantError when norm^2 drifts by more than ATOL or is NaN.
     """
     t = gate.target
     left = 2 if t - 1 in gate.controls else 1
@@ -234,7 +234,7 @@ def _controlled_update(psi: np.ndarray, coef: np.ndarray, gate: GateRecord,
     np.add(o, 0.0, out=o)
     np.add(o, np.multiply(c[1], v[:, :, 1:], out=s), out=o)
     norm = norm2(out)
-    if abs(norm - 1.0) > ATOL:
+    if not abs(norm - 1.0) <= ATOL:  # NaN fails too
         raise InvariantError(f"unitary application drifted norm^2 to {norm!r}")
     return out
 

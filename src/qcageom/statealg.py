@@ -27,8 +27,6 @@ ATOL = 1e-10
 ENTROPY_FLOOR = 1e-12
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
 
 
@@ -214,7 +212,7 @@ def apply_unitary(state: StateVector, u: np.ndarray, targets: Iterable[int]) -> 
     out = (u @ psi.reshape(1 << k, -1)).reshape((2,) * n)
     out = np.moveaxis(out, range(k), positions).reshape(-1)
     norm = norm2(out)
-    if abs(norm - 1.0) > ATOL:
+    if not abs(norm - 1.0) <= ATOL:  # NaN fails too
         raise InvariantError(f"unitary application drifted norm^2 to {norm!r}")
     return StateVector(out, state.labels)
 

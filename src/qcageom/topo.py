@@ -227,6 +227,8 @@ def shadow_complex(poset: CausalPoset, base: AntiChain, i: int) -> SimplicialCom
     the slice contains a genuine update gate casts its causal past onto
     the slice; identical shadows merge into one vertex.  Identity-only
     histories cast no shadow (they carry the wire, not the computation).
+    The nerve's maximal simplices are the wire stars: for each wire of
+    `base`, the shadows that contain it.
     """
     thick = thicken(poset, base, i)
     shadows = set()
@@ -239,21 +241,9 @@ def shadow_complex(poset: CausalPoset, base: AntiChain, i: int) -> SimplicialCom
     if not shadows:
         raise ValueError("no update-gate shadows in the thickened anti-chain")
     vertex_of = {s: tuple(sorted(w.site for w in s)) for s in shadows}
-    ordered = sorted(shadows, key=lambda s: vertex_of[s])
-    simplices = set()
-    for r in range(1, len(ordered) + 1):
-        added = False
-        for combo in itertools.combinations(ordered, r):
-            common = frozenset.intersection(*combo)
-            if common:
-                simplices.add(frozenset(vertex_of[s] for s in combo))
-                added = True
-        if not added:
-            break
-    return SimplicialComplex(
-        vertices=tuple(vertex_of[s] for s in ordered),
-        simplices=frozenset(simplices),
-    )
+    # A family of shadows with a common wire lies in that wire's star.
+    stars = [[vertex_of[s] for s in shadows if w in s] for w in base.nodes]
+    return SimplicialComplex.from_maximal(stars)
 
 
 def _slice_sites(base: AntiChain) -> tuple[int, list[int]]:

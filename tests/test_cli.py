@@ -294,10 +294,10 @@ class TestRunPi3:
         trace = exports.load_trace(tmp_path / "d" / "trace.json")
         assert len(calls) == len(trace.snapshots) == 7
         # entropy.csv holds S(q) of every register site, as site_entropies gives it
-        expected = exports.series_csv(
-            trace.config.register_sites,
-            [(idx, list(infogeo.site_entropies(state).values()))
-             for idx, state in trace.snapshots], corner="layer")
+        expected = exports.matrix_csv(
+            trace.config.register_sites, trace.snapshots.layers,
+            [list(infogeo.site_entropies(state).values()) for _, state in trace.snapshots],
+            corner="layer")
         assert (tmp_path / "d" / "entropy.csv").read_text() == expected
 
     def test_one_block_plan_per_run(self, tmp_path):
@@ -732,7 +732,7 @@ class TestOutputs:
         assert not (tmp_path / "o").exists()
 
     def test_failed_trace_write_exit_2(self, tmp_path, capsys, monkeypatch):
-        def half_written(path, trace, snapshots):
+        def half_written(path, trace):
             path.write_text('{"config": ')
             raise OSError("disk full")
 
@@ -741,6 +741,20 @@ class TestOutputs:
         assert code == 2
         assert capsys.readouterr().err == "error: disk full\n"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["--experiment", "pi3", "--n-sites", 6, "--seed-site", 3, "--steps", 2],
+        ["--experiment", "pi3", "--n-sites", 6, "--seed-site", 3, "--steps", 2,
+         "--no-snapshots"],
+        ["--experiment", "topology", "--n-sites", 6, "--thickness", 2],
+        ["--experiment", "propagate", "--n-sites", 6, "--psi", "0.6+0.2i,0.3-0.7i"],
+        ["--experiment", "ghz", "--n-sites", 6],
+    ], ids=["pi3", "pi3-no-snapshots", "topology", "propagate", "ghz"])
+    def test_saved_trace_resaves_byte_for_byte(self, tmp_path, argv):
+        assert run_cli("run", *argv, "--out", tmp_path / "r") == 0
+        original = tmp_path / "r" / "trace.json"
+        exports.save_trace(tmp_path / "again.json", exports.load_trace(original))
+        assert (tmp_path / "again.json").read_bytes() == original.read_bytes()
 
     def test_discard_removes_created_parents(self, tmp_path):
         code = run_cli("run", "--experiment", "propagate", "--n-sites", 4, "--psi", "nan,0",

@@ -186,6 +186,23 @@ class TestSpeciesUpdate:
         with pytest.raises(InvariantError, match="drifted norm"):
             species_update(random_register_state(config), config, "B")
 
+    def test_gate_nan_norm_raises_at_first_gate(self, monkeypatch):
+        applied = []
+        kernel = qca._controlled_update
+
+        def spy(psi, coef, gate, out, scratch):
+            applied.append(gate)
+            return kernel(psi, coef, gate, out, scratch)
+
+        rule = random_rule()
+        object.__setattr__(rule, "u3", np.full((2, 2), np.nan))
+        config = QcaConfig(n_sites=4, rule=rule, b_parity="even")
+        monkeypatch.setattr(qca, "_controlled_update", spy)
+        with pytest.raises(InvariantError, match="drifted norm"):
+            species_update(random_register_state(config), config, "B")
+        # the first B gate, at site 2, applies u3 where sites 1 and 3 hold |1>
+        assert [g.target for g in applied] == [2]
+
     def test_dimension_mismatch(self):
         config = QcaConfig(n_sites=4, rule=PULSE_RULE)
         with pytest.raises(ValueError):

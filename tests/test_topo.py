@@ -5,10 +5,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qcageom.causal import CausalPoset, Gate, Wire, build_poset, slice_antichain
+from qcageom.causal import CausalPoset, Gate, Wire, build_poset, slice_antichain, thicken
 from qcageom.qca import (
-    GateRecord, LayerRecord, PULSE_RULE, QcaConfig, RunTrace, ghz_experiment, run,
+    GateRecord, LayerRecord, PI3_RULE, PULSE_RULE, QcaConfig, RunTrace, ghz_experiment, run,
 )
 from qcageom.topo import (
     SimplicialComplex,
@@ -222,6 +223,48 @@ class TestShadowComplex:
         base = slice_antichain(poset, 0)
         cx = shadow_complex(poset, base, 1)
         assert betti(cx) == (2,)
+
+
+def nerve_oracle(poset, base, i) -> SimplicialComplex:
+    """The nerve from every subfamily of shadows with a common wire, face by face."""
+    thick = thicken(poset, base, i)
+    shadows = set()
+    for m in thick.maximal_nodes:
+        if not any(isinstance(x, Gate) and x.kind == "rule"
+                   for x in poset.ancestors(m) & thick.members):
+            continue
+        past = poset.ancestors(m) & base.nodes
+        if past:
+            shadows.add(frozenset(past))
+    if not shadows:
+        raise ValueError("no update-gate shadows in the thickened anti-chain")
+    vertex_of = {s: tuple(sorted(w.site for w in s)) for s in shadows}
+    ordered = sorted(shadows, key=lambda s: vertex_of[s])
+    simplices = set()
+    for r in range(1, len(ordered) + 1):
+        added = False
+        for combo in itertools.combinations(ordered, r):
+            if frozenset.intersection(*combo):
+                simplices.add(frozenset(vertex_of[s] for s in combo))
+                added = True
+        if not added:
+            break
+    return SimplicialComplex(vertices=vertex_of.values(), simplices=simplices)
+
+
+class TestNerveOracle:
+    @settings(deadline=None)
+    @given(n=st.integers(2, 10), rule=st.sampled_from([PULSE_RULE, PI3_RULE]),
+           parity=st.sampled_from(["odd", "even"]), steps=st.integers(1, 3),
+           layer=st.integers(0, 1), i=st.integers(1, 4))
+    def test_wire_stars_equal_enumerated_nerve(self, n, rule, parity, steps, layer, i):
+        poset = build_poset(run(QcaConfig(n_sites=n, rule=rule, b_parity=parity), steps))
+        base = slice_antichain(poset, layer)
+        expect = nerve_oracle(poset, base, i)
+        cx = shadow_complex(poset, base, i)
+        assert cx == expect
+        assert cx.simplices == expect.simplices
+        assert betti(cx) == betti_oracle(expect)
 
 
 class TestUnitaryShadowComplex:
