@@ -14,6 +14,11 @@ zero --psi, or an option the experiment does not read, among them) or an
 fails mid-run.  Each file is written under a temporary name and renamed
 into place; on failure the temporaries, the written files and the
 directories the run created are removed.
+
+`infogeo`, `causal` and `topo` are imported by the commands that use
+them, and numpy only by the modules that build or read a state, so
+`run --experiment topology` and `topology --trace` on a v2 trace load no
+numpy.
 """
 from __future__ import annotations
 
@@ -23,12 +28,17 @@ import dataclasses
 import itertools
 import os
 import sys
+from collections.abc import Sequence
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
+from . import exports, qca
+from .qca import InvariantError
 
-from . import causal, exports, infogeo, qca, topo
-from .statealg import InvariantError
+if TYPE_CHECKING:
+    import numpy as np
+
+    from . import infogeo
 
 FIDELITY_TOL = 1e-9
 
@@ -69,7 +79,7 @@ class _Outputs:
     def write_json(self, name: str, obj) -> None:
         self.write(name, exports.write_json, obj)
 
-    def write_pgm(self, name: str, matrix: np.ndarray) -> None:
+    def write_pgm(self, name: str, matrix: Sequence[Sequence[float]]) -> None:
         scale = self.write(name, exports.write_pgm, matrix)
         self.write_json(name.replace(".pgm", ".scale.json"), scale)
 
@@ -104,6 +114,8 @@ def _pair_columns(labels):
 
 def _snapshot_field(trace: qca.RunTrace, idx: int, state, pairs: str,
                     include_boundary: bool) -> infogeo.DistanceField:
+    from . import infogeo
+
     return infogeo.distance_field(
         state, pairs=pairs, include_boundary=include_boundary,
         boundary_labels=trace.config.boundary_labels, time_step=idx,
@@ -121,7 +133,7 @@ def _write_distance_outputs(out: _Outputs, trace: qca.RunTrace, pairs: str,
     if fields and pairs == "nearest_neighbor":
         _write_site_series(out, "nn_distance", _pair_columns(fields[0].labels),
                            [f.time_step for f in fields],
-                           [np.diagonal(f.values, 1) for f in fields], pgm)
+                           [f.values.diagonal(1) for f in fields], pgm)
     return fields
 
 
@@ -129,10 +141,12 @@ def _write_site_series(out: _Outputs, name: str, columns, layers, rows, pgm: boo
     """`name`.csv: one row (snapshot layer, a value per column) per snapshot."""
     out.write_text(f"{name}.csv", exports.matrix_csv(columns, layers, rows, corner="layer"))
     if pgm:
-        out.write_pgm(f"{name}.pgm", np.array(rows))
+        out.write_pgm(f"{name}.pgm", rows)
 
 
 def _block_report_obj(field: infogeo.DistanceField, seed_site: int | None) -> dict:
+    from . import infogeo
+
     rep = infogeo.block_structure_report(field, seed_site=seed_site)
     return {
         "layer": field.time_step,
@@ -144,10 +158,8 @@ def _block_report_obj(field: infogeo.DistanceField, seed_site: int | None) -> di
 
 
 def _maybe_save_trace(out: _Outputs, trace: qca.RunTrace, args) -> None:
-    # The topology experiment's snapshots are all the same all-|0> fixed
-    # point, and `topology --trace` reads only the layers.
     if args.save_trace:
-        if args.no_snapshots or args.experiment == "topology":
+        if args.no_snapshots:
             trace = dataclasses.replace(trace, snapshots=())
         out.write("trace.json", exports.save_trace, trace)
 
@@ -185,7 +197,10 @@ def _cmd_run(args, out: _Outputs) -> int:
     _check_run_options(args)
     if args.experiment == "topology":
         steps = args.steps if args.steps is not None else max(args.thickness, 4)
-        trace = qca.run(qca.QcaConfig(n_sites=args.n_sites, rule=qca.PULSE_RULE), steps)
+        # The poset needs only the layers: every snapshot would be the same
+        # all-|0> fixed point, and `topology --trace` reads none.
+        trace = qca.run(qca.QcaConfig(n_sites=args.n_sites, rule=qca.PULSE_RULE), steps,
+                        snapshots=False)
         _maybe_save_trace(out, trace, args)
         return _emit_topology(out, trace, slice_layer=0, i_max=args.thickness,
                               simplify=args.controlled_simplification)
@@ -225,6 +240,8 @@ def _cmd_run(args, out: _Outputs) -> int:
 
 
 def _cmd_sweep(args, out: _Outputs) -> int:
+    from . import infogeo
+
     if args.samples < 2:
         raise ValueError("need at least 2 samples")
     grid = [i / (args.samples - 1) for i in range(args.samples)]
@@ -242,12 +259,14 @@ def _cmd_sweep(args, out: _Outputs) -> int:
         curve = infogeo.pure_family_sweep(grid)
         out.write_text("pure_family.csv", exports.sweep_csv(curve))
     if args.pgm:
-        out.write_pgm(f"{args.family}.pgm", np.array([list(curve.values)]))
+        out.write_pgm(f"{args.family}.pgm", [list(curve.values)])
     return 0
 
 
 def _emit_topology(out: _Outputs, trace: qca.RunTrace, slice_layer: int,
                    i_max: int, simplify: bool) -> int:
+    from . import causal, topo
+
     poset = causal.build_poset(trace)
     base = causal.slice_antichain(poset, slice_layer)
     result = topo.stable_complex(poset, base, i_max, controlled_simplification=simplify)

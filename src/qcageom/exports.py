@@ -16,6 +16,10 @@ the base64 itself, finiteness and the norm are checked then.  So
 `topology --trace` reads no amplitudes, and `distance-matrix` reads one
 snapshot.  A v1 trace is decoded whole at load, because each of its
 snapshots must show its boundary ancillae in |0>.
+
+Everything but the snapshot encoding, the snapshot decoding and
+`write_pgm` runs without numpy, so a trace without snapshots is written
+and read without loading it.
 """
 from __future__ import annotations
 
@@ -25,12 +29,15 @@ import json
 import math
 from pathlib import Path
 from collections.abc import Iterable, Sequence
+from typing import TYPE_CHECKING
 
-import numpy as np
+from .qca import MAX_QUBITS, GateRecord, LayerRecord, Matrix2, QcaConfig, RunTrace, UpdateRule
 
-from .infogeo import DistanceField, SweepCurve
-from .qca import GateRecord, LayerRecord, QcaConfig, RunTrace, StateVector, UpdateRule
-from .statealg import MAX_QUBITS, norm2
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .infogeo import DistanceField, SweepCurve
+    from .statealg import StateVector
 
 TRACE_FORMAT, TRACE_FORMAT_V1 = "qcageom-trace-v2", "qcageom-trace-v1"
 ANCILLA_TOL = 1e-10  # largest |1> population of a v1 ancilla that reads as |0>
@@ -65,7 +72,8 @@ def matrix_csv(col_labels: Sequence, row_labels: Iterable, values: Iterable[Iter
     return "\n".join(lines) + "\n"
 
 
-def parse_matrix_csv(text: str) -> tuple[list[str], list[str], np.ndarray]:
+def parse_matrix_csv(text: str) -> tuple[list[str], list[str], list[list[float]]]:
+    """The column labels, row labels and value rows of a `matrix_csv` table."""
     lines = [ln for ln in text.splitlines() if ln]
     cols = lines[0].split(",")[1:]
     rows, data = [], []
@@ -73,7 +81,7 @@ def parse_matrix_csv(text: str) -> tuple[list[str], list[str], np.ndarray]:
         parts = ln.split(",")
         rows.append(parts[0])
         data.append([float(p) for p in parts[1:]])
-    return cols, rows, np.array(data)
+    return cols, rows, data
 
 
 def distance_field_csv(field: DistanceField) -> str:
@@ -89,12 +97,14 @@ def sweep_csv(curve: SweepCurve) -> str:
     return matrix_csv(["delta"], map(fmt12, curve.grid), ([v] for v in curve.values), corner="z")
 
 
-def write_pgm(path: Path, matrix: np.ndarray) -> dict:
-    """8-bit binary PGM with linear min->0, max->255 mapping.
+def write_pgm(path: Path, matrix: Sequence[Sequence[float]]) -> dict:
+    """8-bit binary PGM of a 2-D array of floats, with linear min->0, max->255 mapping.
 
     NaN entries render as 0.  Returns the scale record that callers
     should persist alongside the image.
     """
+    import numpy as np
+
     m = np.asarray(matrix, dtype=float)
     finite = m[np.isfinite(m)]
     if finite.size == 0:
@@ -117,22 +127,40 @@ def write_pgm(path: Path, matrix: np.ndarray) -> dict:
     }
 
 
-def _complex_pairs(m: np.ndarray) -> list[list[float]]:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(m, dtype=complex).reshape(-1)]
+def _complex_pairs(m: Matrix2) -> list[list[float]]:
+    return [[z.real, z.imag] for row in m for z in row]
 
 
-def _matrix_from_pairs(pairs: Sequence[Sequence[float]], dim: int) -> np.ndarray:
-    flat = np.array([complex(re, im) for re, im in pairs], dtype=complex)
-    return flat.reshape(dim, dim)
+def _matrix_from_pairs(pairs: Sequence[Sequence[float]]) -> Matrix2:
+    """A 2x2 matrix from its four `[re, im]` pairs, each part a JSON number."""
+    if len(pairs) != 4:
+        raise ValueError(f"malformed trace: a rule matrix has {len(pairs)} entries, not 4")
+    flat = []
+    for re, im in pairs:
+        for part in (re, im):
+            if type(part) not in (int, float):  # JSON true is not a number here
+                raise ValueError(f"malformed trace: rule entry {part!r} is not a number")
+        try:
+            flat.append(complex(re, im))
+        except OverflowError:
+            raise ValueError("malformed trace: a rule entry is an integer beyond the "
+                             "float range") from None
+    return ((flat[0], flat[1]), (flat[2], flat[3]))
 
 
 def _amplitudes_b64(state: StateVector) -> bytes:
     """Base64 of the little-endian amplitudes, encoded from the array's own buffer."""
+    import numpy as np
+
     return base64.b64encode(np.ascontiguousarray(state.amplitudes, dtype="<c16"))
 
 
 def _snapshot_from_b64(text: str, config: QcaConfig, v1: bool, layer: int) -> StateVector:
     """A snapshot's register state; the ancillae of a v1 snapshot must be in |0>."""
+    import numpy as np
+
+    from .statealg import StateVector, norm2
+
     amps = np.frombuffer(base64.b64decode(text), dtype="<c16")  # StateVector copies it
     if v1:
         psi = amps.reshape(2, -1, 2)
@@ -241,7 +269,7 @@ def _gate_from_fields(g: dict, n_sites: int) -> GateRecord:
 
 def _trace_from_fields(obj: dict, v1: bool) -> RunTrace:
     rcfg = obj["config"]
-    unitaries = [_matrix_from_pairs(p, 2) for p in rcfg["rule"]["unitaries"]]
+    unitaries = [_matrix_from_pairs(p) for p in rcfg["rule"]["unitaries"]]
     rule = UpdateRule(*unitaries, name=rcfg["rule"]["name"])
     n = _int(rcfg["n_sites"], "n_sites", 2, MAX_QUBITS)
     config = QcaConfig(n_sites=n, rule=rule, b_parity=rcfg["b_parity"])

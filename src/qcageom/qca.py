@@ -15,51 +15,106 @@ its left bit; a phase correction has no controls, so it applies u0.  One
 loop, `_evolve`, applies every layer, phase layers included, through the
 kernel from the records it stores, so the causal poset is built from the
 gates that were applied, and no gate calls BLAS.
+
+Rules, configs, records, traces and `run(..., snapshots=False)` need no
+numpy: numpy and `statealg` are imported by the functions that build,
+evolve or measure a state, so the topology commands load neither.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
-from .statealg import (
-    ATOL,
-    IDENTITY_2,
-    MAX_QUBITS,
-    PAULI_X,
-    InvariantError,
-    StateVector,
-    # no gate uses it; bound because perfbench/tests/test_traced.py checks
-    # that a traced run restores `qca.apply_unitary`
-    apply_unitary,  # noqa: F401
-    fidelity,
-    is_unitary,
-    norm2,
-    partial_trace,
-    product_state,
-)
+    from .statealg import StateVector
+
+# The register cap, and the tolerance and error of every numerical
+# invariant: defined here, where no numpy is loaded, and re-bound by `statealg`.
+MAX_QUBITS = 16
+ATOL = 1e-10
+
+
+class InvariantError(ValueError):
+    """A state or operator violates one of its numerical invariants."""
+
 
 #: Calibrated angle of the final Z rotation in the propagation experiment
 #: (exp(-i*theta/2 * sigma_z) on site N).  Derived once by scanning the
 #: fidelity of a transported |+> seed; the scan is kept as a test.
 PROPAGATION_Z_ANGLE = math.pi
 
-KET0 = np.array([1, 0], dtype=complex)
-KET1 = np.array([0, 1], dtype=complex)
-# sqrt(0.5) is 1/sqrt(2) correctly rounded; seeds are used as given
-KET_PLUS = np.array([1, 1], dtype=complex) * math.sqrt(0.5)
+#: The amplitudes of the seeds that `qca.KET0`, `qca.KET1` and
+#: `qca.KET_PLUS` hold as complex arrays; sqrt(0.5) is 1/sqrt(2) correctly
+#: rounded, and seeds are used as given.
+_KETS = {"KET0": (1, 0), "KET1": (0, 1), "KET_PLUS": (math.sqrt(0.5), math.sqrt(0.5))}
 
 
-def x_rotation(theta: float) -> np.ndarray:
-    """exp(-i*theta*sigma_x)."""
-    return math.cos(theta) * IDENTITY_2 - 1j * math.sin(theta) * PAULI_X
+def __getattr__(name: str):
+    # numpy is imported only where a state is built, so the kets are made on first use
+    if name in _KETS:
+        import numpy as np
+
+        value = globals()[name] = np.array(_KETS[name], dtype=complex)
+        return value
+    if name == "apply_unitary":
+        # no gate uses it; reachable because perfbench/tests/test_traced.py
+        # checks that a traced run restores `qca.apply_unitary`
+        from .statealg import apply_unitary
+        return apply_unitary
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+#: A 2x2 matrix as rows of Python complex numbers.
+Matrix2 = tuple[tuple[complex, complex], tuple[complex, complex]]
+IDENTITY_2: Matrix2 = ((1 + 0j, 0j), (0j, 1 + 0j))
+
+
+def x_rotation(theta: float) -> Matrix2:
+    """exp(-i*theta*sigma_x).
+
+    Each entry is formed as numpy forms cos(theta)*I - 1j*sin(theta)*X, so
+    the two agree bit for bit, signed zeros included.
+    """
+    c, js = math.cos(theta), 1j * math.sin(theta)
+    return ((c * 1 - js * 0, c * 0 - js * 1), (c * 0 - js * 1, c * 1 - js * 0))
 
 
 def z_rotation(theta: float) -> np.ndarray:
     """exp(-i*theta/2*sigma_z)."""
+    import numpy as np
+
     return np.diag([np.exp(-0.5j * theta), np.exp(0.5j * theta)])
+
+
+def _as_matrix2(u) -> Matrix2 | None:
+    """`u` as rows of complex numbers, or None if it is not a 2x2 array of numbers."""
+    try:
+        rows = tuple(tuple(row) for row in u)
+        if len(rows) != 2 or any(len(row) != 2 for row in rows):
+            return None
+        if not all(isinstance(z, numbers.Number) for row in rows for z in row):
+            return None
+        return tuple(tuple(complex(z) for z in row) for row in rows)
+    except (TypeError, ValueError, OverflowError):  # not iterable, or no complex value
+        return None
+
+
+def _is_unitary(u: Matrix2) -> bool:
+    """Whether every entry of u^dagger u - I has modulus <= ATOL, as `statealg.is_unitary` asks."""
+    # A unitary's entries have modulus <= 1; checking that first keeps
+    # huge or non-finite entries out of the product, where they overflow.
+    if not all(abs(z) <= 1.0 + ATOL for row in u for z in row):
+        return False
+    return all(
+        abs(u[0][i].conjugate() * u[0][j] + u[1][i].conjugate() * u[1][j]
+            - (1.0 if i == j else 0.0)) <= ATOL
+        for i in (0, 1) for j in (0, 1)
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,28 +122,28 @@ class UpdateRule:
     """The quadruple (u0, u1, u2, u3) of single-qubit unitaries.
 
     u_c is applied to a site when its (left, right) neighbors are in the
-    computational state with index c = 2*left + right.
+    computational state with index c = 2*left + right.  Each is given as
+    any 2x2 array of numbers and held as rows of Python complex numbers, so
+    a rule, and a trace that holds one, needs no numpy.
     """
 
-    u0: np.ndarray
-    u1: np.ndarray
-    u2: np.ndarray
-    u3: np.ndarray
+    u0: Matrix2
+    u1: Matrix2
+    u2: Matrix2
+    u3: Matrix2
     name: str = "rule"
 
     def __post_init__(self):
         if not isinstance(self.name, str):
             raise ValueError(f"rule name {self.name!r} is not a string")
         for i, u in enumerate(self.unitaries):
-            u = np.asarray(u, dtype=complex)
-            if u.shape != (2, 2) or not is_unitary(u):
+            u = _as_matrix2(u)
+            if u is None or not _is_unitary(u):
                 raise ValueError(f"u{i} is not a 2x2 unitary within 1e-10")
-            u = u.copy()
-            u.flags.writeable = False
             object.__setattr__(self, f"u{i}", u)
 
     @property
-    def unitaries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def unitaries(self) -> tuple[Matrix2, Matrix2, Matrix2, Matrix2]:
         return (self.u0, self.u1, self.u2, self.u3)
 
 
@@ -222,6 +277,10 @@ def _controlled_update(psi: np.ndarray, coef: np.ndarray, gate: GateRecord,
     sums are those of 0.0 + c0 v0 + c1 v1.  Returns `out`, or raises
     InvariantError when norm^2 drifts by more than ATOL or is NaN.
     """
+    import numpy as np
+
+    from .statealg import norm2
+
     t = gate.target
     left = 2 if t - 1 in gate.controls else 1
     right = 2 if t + 1 in gate.controls else 1
@@ -246,6 +305,10 @@ def _apply_gates(state: StateVector, rule: UpdateRule,
     The gates write alternately into two reused buffers, and the
     StateVector made at the end copies the last one.
     """
+    import numpy as np
+
+    from .statealg import StateVector
+
     coef = np.array(rule.unitaries).reshape(2, 2, 2, 2).transpose(3, 0, 2, 1)
     psi = state.amplitudes
     buffers = (np.empty_like(psi), np.empty_like(psi))
@@ -262,6 +325,8 @@ def unit_qubit(amps) -> np.ndarray:
     neither overflow nor underflow; on moderate input the result is
     bitwise v / sqrt(<v|v>).  Raises ValueError for any other input.
     """
+    import numpy as np
+
     v = np.array(amps, dtype=complex).reshape(-1)
     if v.size != 2:
         raise ValueError("a qubit state needs exactly two amplitudes")
@@ -276,11 +341,13 @@ def unit_qubit(amps) -> np.ndarray:
 
 def initial_state(config: QcaConfig, seeds: dict[int, np.ndarray] | None = None) -> StateVector:
     """All-|0> register with optional single-site seeds, each a unit vector."""
+    from .statealg import product_state
+
     seeds = seeds or {}
     for site in seeds:
         if site not in config.register_sites:
             raise ValueError(f"cannot seed non-register site {site}")
-    qubits = [seeds.get(site, KET0) for site in config.register_sites]
+    qubits = [seeds.get(site, _KETS["KET0"]) for site in config.register_sites]
     return product_state(qubits, config.register_sites)
 
 
@@ -308,10 +375,15 @@ def _species_layers(config: QcaConfig, species: str) -> list:
     return [(s, config.rule, _species_gates(config, s)) for s in species]
 
 
-def _phase_layer(site: int, u: np.ndarray):
+def _phase_layer(site: int, u):
     """A single-qubit correction as a gate with no controls: the kernel applies u0 = u."""
     return ("phase", UpdateRule(u, u, u, u, name="phase"),
             (GateRecord(target=site, controls=(), kind="phase"),))
+
+
+def _layer_records(schedule: list) -> tuple[LayerRecord, ...]:
+    return tuple(LayerRecord(index=index, species=species, gates=gates)
+                 for index, (species, _, gates) in enumerate(schedule, start=1))
 
 
 def _evolve(config: QcaConfig, state: StateVector, schedule: list,
@@ -320,15 +392,13 @@ def _evolve(config: QcaConfig, state: StateVector, schedule: list,
 
     Snapshot 0 is `state`; one follows every layer, or every A layer for "per_global_step".
     """
-    layers: list[LayerRecord] = []
+    layers = _layer_records(schedule)
     snapshots: list[tuple[int, StateVector]] = [(0, state)]
-    for index, (species, rule, gates) in enumerate(schedule, start=1):
-        layers.append(LayerRecord(index=index, species=species, gates=gates))
-        state = _apply_gates(state, rule, gates)
-        if record == "per_species_layer" or species == "A":
-            snapshots.append((index, state))
-    return RunTrace(config=config, granularity=record,
-                    layers=tuple(layers), snapshots=tuple(snapshots))
+    for layer, (_, rule, _) in zip(layers, schedule):
+        state = _apply_gates(state, rule, layer.gates)
+        if record == "per_species_layer" or layer.species == "A":
+            snapshots.append((layer.index, state))
+    return RunTrace(config=config, granularity=record, layers=layers, snapshots=tuple(snapshots))
 
 
 def run(
@@ -336,20 +406,34 @@ def run(
     global_steps: int,
     initial: StateVector | None = None,
     record: str = "per_species_layer",
+    snapshots: bool = True,
 ) -> RunTrace:
-    """Evolve for `global_steps` B+A rounds, recording gates and snapshots."""
+    """Evolve for `global_steps` B+A rounds, recording gates and snapshots.
+
+    With `snapshots=False` no state is built or evolved: the trace holds the
+    same layer records, all that its causal poset is built from, and no
+    snapshots.  An `initial` state is then an error.
+    """
     if global_steps < 0:
         raise ValueError("global_steps must be >= 0")
     if record not in ("per_species_layer", "per_global_step"):
         raise ValueError(f"unknown record granularity {record!r}")
+    schedule = _species_layers(config, "BA" * global_steps)
+    if not snapshots:
+        if initial is not None:
+            raise ValueError("an initial state is evolved only with snapshots=True")
+        return RunTrace(config=config, granularity=record, layers=_layer_records(schedule),
+                        snapshots=())
     state = initial if initial is not None else initial_state(config)
     if state.labels != config.register_sites:
         raise ValueError("initial state labels do not match the register")
-    return _evolve(config, state, _species_layers(config, "BA" * global_steps), record)
+    return _evolve(config, state, schedule, record)
 
 
 def occupation_probabilities(state: StateVector) -> dict[int, float]:
     """p(1) for every qubit label."""
+    import numpy as np
+
     n = state.n_qubits
     probs = np.abs(state.amplitudes.reshape((2,) * n)) ** 2
     out = {}
@@ -367,6 +451,8 @@ def propagate_experiment(n_sites: int, psi: np.ndarray) -> tuple[RunTrace, float
     normalized by `unit_qubit`.  Returns the trace and the fidelity of
     site N's reduced state with `psi`.
     """
+    from .statealg import partial_trace
+
     if n_sites % 2 != 0:
         raise ValueError("propagation requires an even number of sites")
     config = QcaConfig(n_sites=n_sites, rule=PULSE_RULE, b_parity="even")
@@ -382,6 +468,10 @@ def propagate_experiment(n_sites: int, psi: np.ndarray) -> tuple[RunTrace, float
 
 def ghz_vector(n_sites: int, config: QcaConfig) -> StateVector:
     """(|0...0> + |1...1>)/sqrt(2) on the register."""
+    import numpy as np
+
+    from .statealg import StateVector
+
     amps = np.zeros(1 << n_sites, dtype=complex)
     amps[[0, -1]] = 1.0 / math.sqrt(2)
     return StateVector(amps, config.register_sites)
@@ -402,6 +492,10 @@ def ghz_experiment(n_sites: int) -> tuple[RunTrace, float]:
     the first branch and -(-1)^k for the second (the extra B layer flips
     the accumulated phase parity).
     """
+    import numpy as np
+
+    from .statealg import fidelity
+
     if n_sites % 2 != 0 or n_sites < 4:
         raise ValueError("GHZ generation requires even N >= 4")
     config = QcaConfig(n_sites=n_sites, rule=PULSE_RULE, b_parity="odd")
@@ -411,7 +505,7 @@ def ghz_experiment(n_sites: int) -> tuple[RunTrace, float]:
     correction = np.diag([np.exp(sign * 1j * math.pi / 4), np.exp(-sign * 1j * math.pi / 4)])
     schedule = (_species_layers(config, "BA" * k + ("B" if extra_b else ""))
                 + [_phase_layer(seed_site, correction)])
-    trace = _evolve(config, initial_state(config, {seed_site: KET_PLUS}), schedule)
+    trace = _evolve(config, initial_state(config, {seed_site: _KETS["KET_PLUS"]}), schedule)
     fid = fidelity(trace.snapshots[-1][1], ghz_vector(n_sites, config))
     return trace, fid
 
@@ -427,5 +521,5 @@ def pi3_experiment(
     if not 1 <= seed_site <= n_sites:
         raise ValueError(f"seed site {seed_site} out of range")
     steps = n_sites if global_steps is None else global_steps
-    return run(config, steps, initial_state(config, {seed_site: KET_PLUS}), record)
+    return run(config, steps, initial_state(config, {seed_site: _KETS["KET_PLUS"]}), record)
 

@@ -19,19 +19,13 @@ from typing import Iterable
 
 import numpy as np
 
-MAX_QUBITS = 16
-ATOL = 1e-10
+# Defined in `qca`, which loads no numpy, so the modules that need no
+# state can use them too.
+from .qca import ATOL, MAX_QUBITS, InvariantError
 
 # Eigenvalues in [-ATOL, ENTROPY_FLOOR] are treated as exact zeros when
 # evaluating entropies; anything below -ATOL is a genuine violation.
 ENTROPY_FLOOR = 1e-12
-
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-IDENTITY_2 = np.eye(2, dtype=complex)
-
-
-class InvariantError(ValueError):
-    """A state or operator violates one of its numerical invariants."""
 
 
 def _as_labels(labels, n: int) -> tuple[int, ...]:

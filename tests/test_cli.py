@@ -20,6 +20,12 @@ def run_cli(*argv) -> int:
     return main([str(a) for a in argv])
 
 
+def read_matrix_csv(path: Path) -> tuple[list[str], list[str], np.ndarray]:
+    """The column labels, row labels and values of a CSV table the CLI wrote."""
+    cols, rows, values = exports.parse_matrix_csv(path.read_text())
+    return cols, rows, np.array(values)
+
+
 class TestQubitLiteral:
     def test_basic_forms(self):
         v = parse_qubit_literal("1,0")
@@ -88,7 +94,7 @@ class TestRunPropagate:
     def test_ridge_reaches_site_n(self, tmp_path):
         run_cli("run", "--experiment", "propagate", "--n-sites", 12,
                 "--psi", "0,1", "--out", tmp_path / "p")
-        cols, rows, vals = exports.parse_matrix_csv((tmp_path / "p" / "p1.csv").read_text())
+        cols, rows, vals = read_matrix_csv(tmp_path / "p" / "p1.csv")
         assert cols == [str(s) for s in range(1, 13)]
         # final row (after the phase layer) has p(1) = 1 at site 12 alone
         assert vals[-1][-1] == pytest.approx(1.0, abs=1e-9)
@@ -273,7 +279,7 @@ class TestRunPi3:
         assert (out / "entropy.csv").exists()
         assert (out / "entropy.pgm").exists()
         assert (out / "entropy.scale.json").exists()
-        cols, rows, vals = exports.parse_matrix_csv((out / "entropy.csv").read_text())
+        cols, rows, vals = read_matrix_csv(out / "entropy.csv")
         assert len(rows) == 7  # initial + 6 species layers
         assert np.all(vals >= -1e-12)
 
@@ -316,7 +322,7 @@ class TestRunPi3:
         assert code == 0
         out = tmp_path / "d"
         snapshots = json.loads((out / "trace.json").read_text())["snapshots"]
-        _, layers, entropy = exports.parse_matrix_csv((out / "entropy.csv").read_text())
+        _, layers, entropy = read_matrix_csv(out / "entropy.csv")
         assert layers == [str(s["layer"]) for s in snapshots] and len(layers) == 19
         labels = [str(lab) for lab in range(n + 2)]  # with the boundary at 0 and n+1
         for snap, row in zip(snapshots, entropy):
@@ -324,8 +330,7 @@ class TestRunPi3:
             psi = amps.reshape((2,) * n)
             s_site = [oracle_entropy(psi, [p]) for p in range(n)]
             assert all(csv_close(v, s) for v, s in zip(row, s_site))
-            cols, rows, values = exports.parse_matrix_csv(
-                (out / f"distance_step_{snap['layer']:04d}.csv").read_text())
+            cols, rows, values = read_matrix_csv(out / f"distance_step_{snap['layer']:04d}.csv")
             assert cols == rows == labels
             s = [0.0, *s_site, 0.0]  # a boundary ancilla is |0>
             for a in range(n + 2):
@@ -442,8 +447,7 @@ class TestDistanceMatrixCommand:
         code = run_cli("distance-matrix", "--trace", tmp_path / "g" / "trace.json",
                        "--step", 0, "--out", tmp_path / "dm0")
         assert code == 0
-        _, _, vals = exports.parse_matrix_csv(
-            (tmp_path / "dm0" / "distance_matrix.csv").read_text())
+        _, _, vals = read_matrix_csv(tmp_path / "dm0" / "distance_matrix.csv")
         assert np.max(np.abs(vals)) <= 1e-12
 
     @pytest.mark.parametrize("step", [99, -1])

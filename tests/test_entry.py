@@ -54,9 +54,11 @@ def python(code: str, **overrides: str | None) -> str:
 
 class TestLazyPackage:
     def test_import_loads_no_numpy(self):
+        # topo, and with it causal and qca, loads none; statealg does
         out = python("import sys, qcageom; print(qcageom.__version__, 'numpy' in sys.modules); "
-                     "print(qcageom.topo.__name__, 'numpy' in sys.modules)")
-        assert out == "0.1.0 False\nqcageom.topo True\n"
+                     "print(qcageom.topo.__name__, 'numpy' in sys.modules); "
+                     "print(qcageom.statealg.__name__, 'numpy' in sys.modules)")
+        assert out == "0.1.0 False\nqcageom.topo False\nqcageom.statealg True\n"
 
     @pytest.mark.parametrize("module", sorted(EXPORTS))
     def test_names_resolve_to_their_modules(self, module):
@@ -81,6 +83,39 @@ class TestLazyPackage:
         assert "from qcageom import (" in block
         exec(compile(block, "README.md", "exec"), {})
         assert capsys.readouterr().out
+
+
+class TestTopologyLoadsNoNumpy:
+    """The topology commands read gate records, never an amplitude, so they load no numpy."""
+
+    @staticmethod
+    def main_loads_numpy(*argv) -> str:
+        """Run `cli.main(argv)` in a fresh interpreter; return its last stdout line."""
+        out = python("import sys; from qcageom.cli import main; "
+                     f"code = main({[str(a) for a in argv]!r}); "
+                     "print(code, 'numpy' in sys.modules)")
+        return out.splitlines()[-1]
+
+    def test_import_of_the_causal_modules(self):
+        out = python("import sys, qcageom.qca, qcageom.causal, qcageom.topo, qcageom.exports; "
+                     "print('numpy' in sys.modules)")
+        assert out == "False\n"
+
+    def test_run_topology(self, tmp_path):
+        assert self.main_loads_numpy("run", "--experiment", "topology", "--n-sites", 8,
+                                     "--thickness", 3, "--out", tmp_path / "t") == "0 False"
+        assert (tmp_path / "t" / "trace.json").is_file()
+
+    def test_topology_from_a_trace_with_snapshots(self, tmp_path):
+        from qcageom.cli import main
+
+        argv = ["run", "--experiment", "pi3", "--n-sites", "6", "--seed-site", "3",
+                "--steps", "3", "--out", str(tmp_path / "pi3")]
+        assert main(argv) == 0
+        trace = tmp_path / "pi3" / "trace.json"
+        assert '"snapshots"' in trace.read_text()
+        assert self.main_loads_numpy("topology", "--trace", trace, "--i-max", 3,
+                                     "--out", tmp_path / "t") == "0 False"
 
 
 needs_proc = pytest.mark.skipif(not Path("/proc/self/task").is_dir(),

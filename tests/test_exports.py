@@ -42,7 +42,7 @@ class TestFormatting:
         cols, rows, back = exports.parse_matrix_csv(text)
         assert cols == ["a", "b", "c", "d"]
         assert rows == ["1", "2", "3"]
-        assert np.max(np.abs(back - vals)) <= 1e-11 * np.max(np.abs(vals))
+        assert np.max(np.abs(np.array(back) - vals)) <= 1e-11 * np.max(np.abs(vals))
 
 
 class TestDistanceFieldFiles:
@@ -59,6 +59,7 @@ class TestDistanceFieldFiles:
     def test_csv_roundtrip(self):
         field = self._field()
         _, _, back = exports.parse_matrix_csv(exports.distance_field_csv(field))
+        back = np.array(back)
         assert np.array_equal(np.isnan(back), np.isnan(field.values))
         mask = ~np.isnan(back)
         assert np.array_equal(back[mask], field.values[mask])
@@ -145,6 +146,10 @@ class TestTraceRoundtrip:
         lambda o: o["layers"][0].__setitem__("gates", [{"target": 1}]),
         lambda o: o["snapshots"][0].__setitem__("amplitudes_b64", 5),
         lambda o: o["config"]["rule"].__setitem__("unitaries", [[1, 2]]),
+        # JSON booleans are not numbers: these entries would read as the identity
+        lambda o: o["config"]["rule"]["unitaries"].__setitem__(
+            0, [[True, False], [False, False], [False, False], [True, False]]),
+        lambda o: o["config"]["rule"]["unitaries"][0].__setitem__(0, [10**400, 0]),
         lambda o: o["layers"][0].__setitem__("index", 1.5),
         lambda o: o["layers"][0].__setitem__("index", True),
         lambda o: o["layers"][1].__setitem__("index", 1),

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from qcageom import qca, statealg
 from qcageom.qca import (
@@ -60,6 +61,27 @@ def random_register_state(config: QcaConfig) -> StateVector:
     return StateVector(amps / np.linalg.norm(amps), config.register_sites)
 
 
+@st.composite
+def near_unitaries(draw) -> np.ndarray:
+    """A 2x2 unitary, exact or with one entry perturbed near the tolerance,
+    past modulus one, or not finite."""
+    a, b, c, phase = (draw(st.floats(-math.pi, math.pi)) for _ in range(4))
+    u = np.exp(1j * phase) * np.array([
+        [math.cos(a) * np.exp(1j * b), math.sin(a) * np.exp(1j * c)],
+        [-math.sin(a) * np.exp(-1j * c), math.cos(a) * np.exp(-1j * b)],
+    ])
+    i, j = draw(st.integers(0, 1)), draw(st.integers(0, 1))
+    kind = draw(st.sampled_from(["exact", "perturbed", "past_one", "not_finite"]))
+    if kind == "perturbed":
+        u[i, j] += complex(draw(st.floats(-3e-10, 3e-10)), draw(st.floats(-3e-10, 3e-10)))
+    elif kind == "past_one":
+        u[i, j] = draw(st.floats(1.0 - 1e-9, 1e308)) * np.exp(1j * phase)
+    elif kind == "not_finite":
+        u[i, j] = draw(st.sampled_from([math.inf, -math.inf, math.nan, complex(0, math.inf),
+                                        complex(math.nan, 0.5), complex(math.inf, math.nan)]))
+    return u
+
+
 # ---------------------------------------------------------------- oracles
 
 def embedded_site_matrix(rule: UpdateRule, site: int, n_sites: int) -> np.ndarray:
@@ -83,7 +105,7 @@ def embedded_site_matrix(rule: UpdateRule, site: int, n_sites: int) -> np.ndarra
         s_bit = (col >> (n - 1 - site)) & 1
         for out_bit in (0, 1):
             row = col & ~(1 << (n - 1 - site)) | (out_bit << (n - 1 - site))
-            m[row, col] += gate[out_bit, s_bit]
+            m[row, col] += gate[out_bit][s_bit]
     return m
 
 
@@ -130,6 +152,39 @@ class TestUpdateRule:
         theta = 0.37
         expect = math.cos(theta) * I2 - 1j * math.sin(theta) * X
         assert np.allclose(x_rotation(theta), expect)
+
+    @given(st.floats(-1e6, 1e6) | st.sampled_from(
+        [0.0, -0.0, math.pi / 2, math.pi / 3, math.pi, -math.pi, 2 * math.pi, 1e300]))
+    def test_x_rotation_has_the_bits_of_the_numpy_expression(self, theta):
+        expect = math.cos(theta) * I2 - 1j * math.sin(theta) * X
+        assert np.array(x_rotation(theta)).tobytes() == expect.tobytes()
+
+    def test_matrices_are_python_complex_numbers(self):
+        for u in PI3_RULE.unitaries:
+            assert type(u) is tuple and all(type(z) is complex for row in u for z in row)
+
+    @given(st.data())
+    def test_accepts_exactly_what_is_unitary_accepts(self, data):
+        u = data.draw(near_unitaries())
+        if np.all(np.abs(u) <= 1.0 + statealg.ATOL):
+            # BLAS rounds u^dagger u with fused multiply-adds, the pure-Python
+            # check without: a deviation within rounding of ATOL may go either way
+            deviation = np.max(np.abs(u.conj().T @ u - I2))
+            assume(abs(deviation - statealg.ATOL) > 1e-14)
+        try:
+            UpdateRule(I2, u, I2, I2)
+            accepted = True
+        except ValueError as exc:
+            assert str(exc) == "u1 is not a 2x2 unitary within 1e-10"
+            accepted = False
+        assert accepted == statealg.is_unitary(u)
+
+    def test_kets_are_the_arrays_they_were(self):
+        assert KET0.tobytes() == np.array([1, 0], dtype=complex).tobytes()
+        assert KET1.tobytes() == np.array([0, 1], dtype=complex).tobytes()
+        plus = np.array([1, 1], dtype=complex) * math.sqrt(0.5)
+        assert KET_PLUS.tobytes() == plus.tobytes()
+        assert qca.KET_PLUS is KET_PLUS
 
 
 class TestSpeciesUpdate:
@@ -377,6 +432,36 @@ class TestRun:
         trace = pi3_experiment(6, 2, 4)
         for _, state in trace.snapshots:
             assert abs(np.vdot(state.amplitudes, state.amplitudes).real - 1) <= 1e-10
+
+
+class TestRunWithoutSnapshots:
+    @pytest.mark.parametrize("record", ["per_species_layer", "per_global_step"])
+    @pytest.mark.parametrize("parity", ["odd", "even"])
+    @pytest.mark.parametrize("rule", [PULSE_RULE, PI3_RULE], ids=["pulse", "pi3"])
+    def test_layers_equal_the_evolving_run_without_a_gate(self, rule, parity, record,
+                                                         monkeypatch):
+        applied = []
+        kernel = qca._controlled_update
+
+        def spy(psi, coef, gate, out, scratch):
+            applied.append(gate)
+            return kernel(psi, coef, gate, out, scratch)
+
+        monkeypatch.setattr(qca, "_controlled_update", spy)
+        for n in range(2, 15):
+            config = QcaConfig(n_sites=n, rule=rule, b_parity=parity)
+            evolved = run(config, 4, record=record)
+            assert len(applied) == 4 * n
+            applied.clear()
+            bare = run(config, 4, record=record, snapshots=False)
+            assert applied == []
+            assert bare.layers == evolved.layers
+            assert (bare.config, bare.granularity, bare.snapshots) == (config, record, ())
+
+    def test_initial_state_needs_snapshots(self):
+        config = QcaConfig(n_sites=4, rule=PULSE_RULE)
+        with pytest.raises(ValueError, match="initial state"):
+            run(config, 2, initial_state(config), snapshots=False)
 
 
 class TestPropagation:
