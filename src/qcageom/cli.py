@@ -17,8 +17,7 @@ directories the run created are removed.
 
 `infogeo`, `causal` and `topo` are imported by the commands that use
 them, and numpy only by the modules that build or read a state, so
-`run --experiment topology` and `topology --trace` on a v2 trace load no
-numpy.
+`run --experiment topology` and `topology --trace` load no numpy.
 """
 from __future__ import annotations
 

@@ -4,18 +4,16 @@ Every writer is deterministic (no timestamps, sorted keys, fixed float
 formatting), so identical inputs produce byte-identical files.  The
 string "nan" in CSV and null in JSON mark pairs that were not computed;
 zero is a meaningful distance and never doubles as a marker.  Traces
-are written as v2 (register-only snapshots) and read as v2 or as v1
-(snapshots with the boundary ancillae).
+are written and read as `qcageom-trace-v2` (register-only snapshots).
 
 Reading a trace checks every field at load: the format, the config and
 its rule matrices, the labels, each layer and gate, each snapshot's layer
 index, and that each snapshot's `amplitudes_b64` is a string of exactly
-the base64 length of its amplitudes.  A v2 snapshot's amplitudes are
+the base64 length of its amplitudes.  A snapshot's amplitudes are
 decoded only when the snapshot is read, and each read decodes it again:
 the base64 itself, finiteness and the norm are checked then.  So
 `topology --trace` reads no amplitudes, and `distance-matrix` reads one
-snapshot.  A v1 trace is decoded whole at load, because each of its
-snapshots must show its boundary ancillae in |0>.
+snapshot.
 
 Everything but the snapshot encoding, the snapshot decoding and
 `write_pgm` runs without numpy, so a trace without snapshots is written
@@ -39,8 +37,7 @@ if TYPE_CHECKING:
     from .infogeo import DistanceField, SweepCurve
     from .statealg import StateVector
 
-TRACE_FORMAT, TRACE_FORMAT_V1 = "qcageom-trace-v2", "qcageom-trace-v1"
-ANCILLA_TOL = 1e-10  # largest |1> population of a v1 ancilla that reads as |0>
+TRACE_FORMAT = "qcageom-trace-v2"
 
 
 def fmt12(v: float) -> str:
@@ -155,19 +152,13 @@ def _amplitudes_b64(state: StateVector) -> bytes:
     return base64.b64encode(np.ascontiguousarray(state.amplitudes, dtype="<c16"))
 
 
-def _snapshot_from_b64(text: str, config: QcaConfig, v1: bool, layer: int) -> StateVector:
-    """A snapshot's register state; the ancillae of a v1 snapshot must be in |0>."""
+def _snapshot_from_b64(text: str, config: QcaConfig) -> StateVector:
+    """A snapshot's register state."""
     import numpy as np
 
-    from .statealg import StateVector, norm2
+    from .statealg import StateVector
 
     amps = np.frombuffer(base64.b64decode(text), dtype="<c16")  # StateVector copies it
-    if v1:
-        psi = amps.reshape(2, -1, 2)
-        pop = max(norm2(off) for off in (psi[1], psi[:, :, 1]))
-        if not pop <= ANCILLA_TOL:  # NaN fails too
-            raise ValueError(f"boundary qubit at layer {layer} has |1> population {pop:.3g}")
-        amps = psi[0, :, 0]
     return StateVector(amps, config.register_sites)
 
 
@@ -177,10 +168,10 @@ class _EncodedSnapshots(Sequence):
     Nothing is cached: every read decodes and checks the entry again.
     """
 
-    def __init__(self, entries: list[tuple[int, str]], config: QcaConfig, v1: bool):
+    def __init__(self, entries: list[tuple[int, str]], config: QcaConfig):
         self.layers = tuple(layer for layer, _ in entries)
         self._texts = tuple(text for _, text in entries)
-        self._config, self._v1 = config, v1
+        self._config = config
 
     def __len__(self) -> int:
         return len(self._texts)
@@ -189,11 +180,8 @@ class _EncodedSnapshots(Sequence):
         # not Sequence's own, which would end quietly at an IndexError from a decode
         return (self[i] for i in range(len(self)))
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self[j] for j in range(len(self))[i])
-        layer = self.layers[i]
-        return layer, _snapshot_from_b64(self._texts[i], self._config, self._v1, layer)
+    def __getitem__(self, i: int):
+        return self.layers[i], _snapshot_from_b64(self._texts[i], self._config)
 
 
 def trace_to_json_obj(trace: RunTrace) -> dict:
@@ -233,10 +221,12 @@ def trace_to_json_obj(trace: RunTrace) -> dict:
 
 def trace_from_json_obj(obj: dict) -> RunTrace:
     """Rebuild a trace; any malformed input raises ValueError."""
-    if not isinstance(obj, dict) or obj.get("format") not in (TRACE_FORMAT, TRACE_FORMAT_V1):
-        raise ValueError("not a qcageom trace file")
+    fmt = obj.get("format") if isinstance(obj, dict) else None
+    if fmt != TRACE_FORMAT:
+        found = f"format {fmt!r:.40}" if isinstance(fmt, str) else "no format string"
+        raise ValueError(f"not a qcageom trace file: {found}, expected {TRACE_FORMAT!r}")
     try:
-        return _trace_from_fields(obj, v1=obj["format"] == TRACE_FORMAT_V1)
+        return _trace_from_fields(obj)
     except KeyError as exc:
         raise ValueError(f"malformed trace: missing key {exc}") from None
     except (TypeError, AttributeError, IndexError) as exc:
@@ -257,34 +247,40 @@ def _choice(value, what: str, allowed: tuple[str, ...]) -> str:
     return value
 
 
-def _gate_from_fields(g: dict, n_sites: int) -> GateRecord:
+def _gate_from_fields(g: dict, n_sites: int, species: str) -> GateRecord:
+    """A gate as `qca` records it: a rule gate of an A or B layer, controlled by
+    distinct neighbours of its target, or a phase gate of a phase layer, with none."""
     target = _int(g["target"], "gate target", 1, n_sites)
     controls = tuple(_int(c, "gate control", 1, n_sites) for c in g["controls"])
-    if not set(controls) <= {target - 1, target + 1}:
+    if len(set(controls)) < len(controls) or not set(controls) <= {target - 1, target + 1}:
         raise ValueError(f"malformed trace: controls {list(controls)} of site {target} "
-                         "are not its neighbours")
-    return GateRecord(target=target, controls=controls,
-                      kind=_choice(g["kind"], "gate kind", ("rule", "phase")))
+                         "are not distinct neighbours of it")
+    kind = _choice(g["kind"], "gate kind", ("rule", "phase"))
+    if (kind == "phase") != (species == "phase"):
+        raise ValueError(f"malformed trace: a {kind} gate in a {species} layer")
+    if kind == "phase" and controls:
+        raise ValueError(f"malformed trace: the phase gate of site {target} has controls")
+    return GateRecord(target=target, controls=controls, kind=kind)
 
 
-def _trace_from_fields(obj: dict, v1: bool) -> RunTrace:
+def _layer_from_fields(l: dict, index: int, n_sites: int) -> LayerRecord:
+    index = _int(l["index"], "layer index", index, index)
+    species = _choice(l["species"], "species", ("A", "B", "phase"))
+    return LayerRecord(index=index, species=species,
+                       gates=tuple(_gate_from_fields(g, n_sites, species) for g in l["gates"]))
+
+
+def _trace_from_fields(obj: dict) -> RunTrace:
     rcfg = obj["config"]
     unitaries = [_matrix_from_pairs(p) for p in rcfg["rule"]["unitaries"]]
     rule = UpdateRule(*unitaries, name=rcfg["rule"]["name"])
     n = _int(rcfg["n_sites"], "n_sites", 2, MAX_QUBITS)
     config = QcaConfig(n_sites=n, rule=rule, b_parity=rcfg["b_parity"])
-    labels = list(config.labels if v1 else config.register_sites)
+    labels = list(config.register_sites)
     if obj["labels"] != labels:
         raise ValueError(f"malformed trace: labels {obj['labels']!r}, expected {labels}")
-    layers = tuple(
-        LayerRecord(
-            index=_int(l["index"], "layer index", i, i),
-            species=_choice(l["species"], "species", ("A", "B", "phase")),
-            gates=tuple(_gate_from_fields(g, n) for g in l["gates"]),
-        )
-        for i, l in enumerate(obj["layers"], start=1)
-    )
-    b64_len = 4 * -(-(16 << (n + 2 * v1)) // 3)  # 2^N complex128, with the v1 ancillae
+    layers = tuple(_layer_from_fields(l, i, n) for i, l in enumerate(obj["layers"], start=1))
+    b64_len = 4 * -(-(16 << n) // 3)  # 2^N complex128
     entries: list[tuple[int, str]] = []
     for s in obj.get("snapshots", []):
         first = entries[-1][0] + 1 if entries else 0
@@ -296,9 +292,8 @@ def _trace_from_fields(obj: dict, v1: bool) -> RunTrace:
         entries.append((layer, text))
     granularity = _choice(obj["granularity"], "granularity",
                           ("per_species_layer", "per_global_step"))
-    snapshots = _EncodedSnapshots(entries, config, v1) if entries else ()
-    return RunTrace(config=config, granularity=granularity, layers=layers,
-                    snapshots=tuple(snapshots) if v1 else snapshots)
+    snapshots = _EncodedSnapshots(entries, config) if entries else ()
+    return RunTrace(config=config, granularity=granularity, layers=layers, snapshots=snapshots)
 
 
 def save_trace(path: Path, trace: RunTrace) -> None:
@@ -332,4 +327,6 @@ def load_trace(path: Path) -> RunTrace:
             obj = json.load(fh)
     except OSError as exc:
         raise ValueError(f"cannot read trace {str(path)!r}: {exc.strerror}") from None
+    except RecursionError:
+        raise ValueError("malformed trace: JSON nested too deeply to parse") from None
     return trace_from_json_obj(obj)

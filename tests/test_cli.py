@@ -3,14 +3,17 @@ from __future__ import annotations
 
 import base64
 import cmath
+import contextlib
+import io
 import json
 import math
 import shlex
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qcageom import exports, infogeo, qca
 from qcageom.cli import _Outputs, main, parse_qubit_literal
@@ -343,7 +346,7 @@ class TestRunPi3:
                     d = 2.0 * s_ab - s[a] - s[b]
                     assert csv_close(values[a, b], d) and values[b, a] == values[a, b]
 
-    def test_runs_without_vdot(self, tmp_path, monkeypatch, as_v1):
+    def test_runs_without_vdot(self, tmp_path, monkeypatch):
         # every norm check avoids BLAS zdotc, which OpenBLAS may run threaded
         def no_vdot(*args, **kwargs):
             raise AssertionError("np.vdot called")
@@ -352,12 +355,9 @@ class TestRunPi3:
         code = run_cli("run", "--experiment", "pi3", "--n-sites", 8, "--seed-site", 4,
                        "--pairs", "all_pairs", "--out", tmp_path / "d")
         assert code == 0
-        obj = json.loads((tmp_path / "d" / "trace.json").read_text())
-        (tmp_path / "v1.json").write_text(json.dumps(as_v1(obj)))
-        for trace in (tmp_path / "d" / "trace.json", tmp_path / "v1.json"):
-            code = run_cli("distance-matrix", "--trace", trace, "--step", 5,
-                           "--out", tmp_path / trace.stem)
-            assert code == 0
+        code = run_cli("distance-matrix", "--trace", tmp_path / "d" / "trace.json", "--step", 5,
+                       "--out", tmp_path / "dm")
+        assert code == 0
 
     def test_missing_seed_site_exit_2(self, tmp_path):
         code = run_cli("run", "--experiment", "pi3", "--n-sites", 6,
@@ -458,25 +458,6 @@ class TestDistanceMatrixCommand:
         assert code == 2
         assert not (tmp_path / "dm3").exists()
 
-    def test_v1_trace(self, tmp_path, as_v1, capsys):
-        run_cli("run", "--experiment", "pi3", "--n-sites", 6, "--seed-site", 3,
-                "--steps", 3, "--out", tmp_path / "r")
-        obj = json.loads((tmp_path / "r" / "trace.json").read_text())
-        (tmp_path / "v1.json").write_text(json.dumps(as_v1(obj)))
-        for trace, out in (("r/trace.json", "dm2"), ("v1.json", "dm1")):
-            code = run_cli("distance-matrix", "--trace", tmp_path / trace, "--step", 4,
-                           "--include-boundary", "--out", tmp_path / out)
-            assert code == 0
-        for f in ("distance_matrix.csv", "distance_matrix.json", "block_report.json"):
-            assert (tmp_path / "dm2" / f).read_bytes() == (tmp_path / "dm1" / f).read_bytes()
-        excited = as_v1(obj, right=np.array([0.6, 0.8]))
-        (tmp_path / "bad.json").write_text(json.dumps(excited))
-        code = run_cli("distance-matrix", "--trace", tmp_path / "bad.json", "--step", 0,
-                       "--out", tmp_path / "dm5")
-        assert code == 2
-        assert "boundary qubit" in capsys.readouterr().err
-        assert not (tmp_path / "dm5").exists()
-
     def test_corrupt_snapshot_exit_3(self, tmp_path):
         run_cli("run", "--experiment", "ghz", "--n-sites", 4, "--out", tmp_path / "g")
         path = tmp_path / "g" / "trace.json"
@@ -565,7 +546,7 @@ class TestTraceInputErrors:
 
     def test_format_only_trace_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bare.json"
-        path.write_text(json.dumps({"format": "qcageom-trace-v1"}))
+        path.write_text(json.dumps({"format": "qcageom-trace-v2"}))
         code = run_cli("topology", "--trace", path, "--out", tmp_path / "t")
         assert code == 2
         assert "missing key 'config'" in capsys.readouterr().err
@@ -598,6 +579,7 @@ class TestTraceInputErrors:
 
     @pytest.mark.parametrize("text", [
         "[]", "{", '{"format": "qcageom-trace-v1", "config": 3}',
+        '{"format": "qcageom-trace-v2", "config": 3}',
     ])
     def test_malformed_trace_exit_2(self, tmp_path, text):
         path = tmp_path / "bad.json"
@@ -606,6 +588,22 @@ class TestTraceInputErrors:
                        "--out", tmp_path / "dm")
         assert code == 2
         assert not (tmp_path / "dm").exists()
+
+    @pytest.mark.parametrize("command", [("topology",), ("distance-matrix", "--step", 0)],
+                             ids=["topology", "distance-matrix"])
+    @pytest.mark.parametrize("text, message", [
+        ("[" * 200_000, "malformed trace: JSON nested too deeply to parse"),
+        # the older layout, which held the boundary ancillae: read by no command
+        ('{"format": "qcageom-trace-v1", "labels": [0, 1, 2, 3]}',
+         "not a qcageom trace file: format 'qcageom-trace-v1', expected 'qcageom-trace-v2'"),
+    ], ids=["deeply-nested", "v1"])
+    def test_unreadable_trace_exit_2(self, tmp_path, capsys, command, text, message):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code = run_cli(*command, "--trace", path, "--out", tmp_path / "o")
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
 
 
 @pytest.fixture(scope="module")
@@ -668,13 +666,18 @@ class TestSnapshotReads:
     @pytest.fixture
     def decodes(self, monkeypatch) -> list:
         """The layer of each snapshot decoded, in order."""
-        seen = []
-        decode = exports._snapshot_from_b64
+        seen, reading = [], []
+        getitem, decode = exports._EncodedSnapshots.__getitem__, exports._snapshot_from_b64
 
-        def spy(text, config, v1, layer):
-            seen.append(layer)
-            return decode(text, config, v1, layer)
+        def read(snapshots, i):  # texts may repeat, so the read names the layer
+            reading[:] = [snapshots.layers[i]]
+            return getitem(snapshots, i)
 
+        def spy(text, config):
+            seen.append(reading.pop())  # a decode outside a read fails here
+            return decode(text, config)
+
+        monkeypatch.setattr(exports._EncodedSnapshots, "__getitem__", read)
         monkeypatch.setattr(exports, "_snapshot_from_b64", spy)
         return seen
 
@@ -695,6 +698,89 @@ class TestSnapshotReads:
         decodes.clear()
         assert [idx for idx, _ in trace.snapshots] == list(range(7))
         assert decodes == list(range(7))
+
+
+#: The README's `run` option table: each option's values, in range and out of it
+#: (None for a flag), and the experiments that read it.
+_RUN_TABLE = {
+    "--psi": (st.sampled_from(["1,0", "1,1i", "0.6,0.8i", "0,0", "nan,0", "1", "x,y"]),
+              {"propagate"}),
+    "--seed-site": (st.integers(-1, 10), {"pi3"}),
+    "--steps": (st.integers(-1, 5), {"pi3", "topology"}),
+    "--thickness": (st.integers(-1, 9), {"topology"}),
+    "--controlled-simplification": (None, {"topology"}),
+    "--no-controlled-simplification": (None, {"topology"}),
+    "--pairs": (st.sampled_from(["nearest_neighbor", "all_pairs", "some_pairs"]), _STATE),
+    "--include-boundary": (None, _STATE),
+    "--pgm": (None, _STATE),
+    "--no-snapshots": (None, _STATE),
+    "--no-save-trace": (None, _STATE | {"topology"}),
+}
+#: The same for the two trace commands, which read every option they have.
+_TRACE_TABLE = {
+    "distance-matrix": {"--step": st.integers(-2, 8), "--seed-site": st.integers(-1, 8),
+                        "--include-boundary": None},
+    "topology": {"--slice": st.integers(-2, 9), "--i-max": st.integers(-2, 6),
+                 "--controlled-simplification": None, "--no-controlled-simplification": None},
+}
+
+
+def _draw_options(draw, options: dict) -> list:
+    """Each of `options` given or not, with a value drawn from its strategy."""
+    argv = []
+    for option, values in options.items():
+        if draw(st.booleans(), label=option):
+            argv += [option] if values is None else [option, draw(values, label=option)]
+    return argv
+
+
+@st.composite
+def _run_argv(draw) -> list:
+    experiment = draw(st.sampled_from(["propagate", "ghz", "pi3", "topology"]))
+    n_sites = draw(st.sampled_from([*range(-1, 9), 17, "x"]))
+    stray = draw(st.booleans(), label="options the experiment does not read")
+    offered = {o: v for o, (v, readers) in _RUN_TABLE.items() if stray or experiment in readers}
+    return ["run", "--experiment", experiment, "--n-sites", n_sites,
+            *_draw_options(draw, offered)]
+
+
+@st.composite
+def _trace_argv(draw, trace: Path) -> list:
+    command = draw(st.sampled_from(sorted(_TRACE_TABLE)))
+    options = dict(_TRACE_TABLE[command])
+    argv = [command, "--trace", trace]
+    if command == "distance-matrix":  # its one required option
+        argv += ["--step", draw(options.pop("--step"))]
+    return argv + _draw_options(draw, options)
+
+
+def _check_exit(argv: list) -> None:
+    """Run the CLI with `--out` in a fresh directory: exit 0, 2 or 3, no traceback,
+    and an out dir exactly when the command succeeded."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out, err = Path(tmp) / "o", io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = run_cli(*argv, "--out", out)
+            except SystemExit as exc:  # argparse rejected the argv
+                code = exc.code
+        assert code in (0, 2, 3), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        assert out.exists() == (code == 0), (argv, code, err.getvalue())
+
+
+class TestCliProperty:
+    """Drawn argv: every command ends with a documented exit code and no traceback."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(_run_argv())
+    def test_run(self, argv):
+        _check_exit(argv)
+
+    @settings(deadline=None, max_examples=30)
+    @given(st.data())
+    def test_trace_commands(self, pi3_trace, data):
+        _check_exit(data.draw(_trace_argv(pi3_trace)))
 
 
 class TestOutputs:

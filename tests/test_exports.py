@@ -158,6 +158,12 @@ class TestTraceRoundtrip:
         lambda o: o["layers"][0]["gates"][0].__setitem__("controls", [5]),
         lambda o: o["layers"][0]["gates"][0].__setitem__("controls", [2.0]),
         lambda o: o["layers"][0]["gates"][0].__setitem__("kind", "swap"),
+        # gate records that no run writes
+        lambda o: o["layers"][0]["gates"][1].__setitem__("controls", [2, 2]),
+        lambda o: o["layers"][0]["gates"][1].update(kind="phase", controls=[]),
+        lambda o: o["layers"][0].__setitem__("species", "phase"),
+        lambda o: o["layers"][0].update(species="phase", gates=[
+            {"target": 3, "controls": [2], "kind": "phase"}]),
         lambda o: o["layers"][0].__setitem__("species", "Z"),
         lambda o: o.__setitem__("granularity", "whatever"),
         lambda o: o["snapshots"][1].__setitem__("layer", 99),
@@ -165,6 +171,7 @@ class TestTraceRoundtrip:
         lambda o: o["snapshots"][2].__setitem__("layer", 1),
         lambda o: o["config"].__setitem__("n_sites", 6.0),
         lambda o: o.__setitem__("labels", list(range(8))),
+        lambda o: o.__setitem__("format", "qcageom-trace-v1"),
         lambda o: o["config"]["rule"].__setitem__("name", [1, {"a": None}]),
         lambda o: o["config"]["rule"].__setitem__("name", 3),
     ])
@@ -174,31 +181,6 @@ class TestTraceRoundtrip:
         mangle(obj)
         with pytest.raises(ValueError):
             exports.trace_from_json_obj(obj)
-
-    def test_v1_reads_as_register_states(self, as_v1):
-        config = QcaConfig(n_sites=4, rule=PI3_RULE)
-        trace = run(config, 2, initial_state(config, {2: KET_PLUS}))
-        obj = json.loads(exports.json_dumps(exports.trace_to_json_obj(trace)))
-        back = exports.trace_from_json_obj(as_v1(obj))
-        assert back.config.labels == (0, 1, 2, 3, 4, 5)
-        for (l1, s1), (l2, s2) in zip(trace.snapshots, back.snapshots):
-            assert l1 == l2
-            assert s2.labels == (1, 2, 3, 4)
-            assert np.array_equal(s1.amplitudes, s2.amplitudes)
-        v1 = as_v1(obj)
-        v1["labels"] = [1, 2, 3, 4]
-        with pytest.raises(ValueError):
-            exports.trace_from_json_obj(v1)
-
-    def test_v1_excited_ancilla_rejected(self, as_v1):
-        config = QcaConfig(n_sites=4, rule=PI3_RULE)
-        obj = exports.trace_to_json_obj(run(config, 1, initial_state(config, {2: KET_PLUS})))
-        tilt = np.array([math.sqrt(1 - 1e-9), math.sqrt(1e-9)])
-        for bad in (dict(left=tilt), dict(right=tilt), dict(left=np.array([1.0, math.nan]))):
-            with pytest.raises(ValueError, match="boundary qubit"):
-                exports.trace_from_json_obj(as_v1(obj, **bad))
-        tiny = np.array([math.sqrt(1 - 1e-12), math.sqrt(1e-12)])
-        assert len(exports.trace_from_json_obj(as_v1(obj, left=tiny)).snapshots) == 3
 
     def test_load_missing_file_raises_value_error(self, tmp_path):
         with pytest.raises(ValueError):
@@ -250,12 +232,10 @@ def _alter_field(draw, obj: dict) -> None:
 class TestTraceFuzz:
     @settings(deadline=None)
     @given(st.data())
-    def test_mutated_trace_loads_or_raises_value_error(self, as_v1, data):
+    def test_mutated_trace_loads_or_raises_value_error(self, data):
         config = QcaConfig(n_sites=3, rule=PI3_RULE)
         obj = json.loads(exports.json_dumps(exports.trace_to_json_obj(
             run(config, 1, initial_state(config, {2: KET_PLUS})))))
-        if data.draw(st.booleans(), label="v1"):
-            obj = as_v1(obj)
         n_b64 = data.draw(st.integers(0, 2), label="base64 mutations")
         for _ in range(n_b64):
             _alter_b64(data.draw, obj)

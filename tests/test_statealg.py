@@ -75,7 +75,7 @@ class TestStateTypes:
     def test_strided_amplitudes(self):
         psi = RNG.normal(size=(2, 8, 2)) + 1j * RNG.normal(size=(2, 8, 2))
         psi /= np.linalg.norm(psi[0, :, 0])
-        strided = psi[0, :, 0]  # as the v1 trace reader passes it
+        strided = psi[0, :, 0]  # a library caller may pass a strided view
         with pytest.raises(ValueError):
             strided.view(float)  # so norm2 copies before taking its float view
         s = StateVector(strided)
