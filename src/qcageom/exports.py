@@ -6,14 +6,17 @@ string "nan" in CSV and null in JSON mark pairs that were not computed;
 zero is a meaningful distance and never doubles as a marker.  Traces
 are written and read as `qcageom-trace-v2` (register-only snapshots).
 
-Reading a trace checks every field at load: the format, the config and
-its rule matrices, the labels, each layer and gate, each snapshot's layer
-index, and that each snapshot's `amplitudes_b64` is a string of exactly
-the base64 length of its amplitudes.  A snapshot's amplitudes are
-decoded only when the snapshot is read, and each read decodes it again:
-the base64 itself, finiteness and the norm are checked then.  So
-`topology --trace` reads no amplitudes, and `distance-matrix` reads one
-snapshot.
+Reading a trace checks the format, the config, its rule matrices and the
+labels.  The layers follow from the config: `qca`'s schedule builders
+make them, `(B A)* [B] [phase]`, from the layer count, whether the last
+is a phase layer, and its target, and each layer read must be exactly
+the JSON that the writer makes of its record.  A "snapshots" key must
+hold snapshots where `qca` records them, each with `amplitudes_b64` a
+string of exactly the base64 length of its amplitudes.  A snapshot's
+amplitudes are decoded only when the snapshot is read, and each read
+decodes it again: the base64 itself, finiteness and the norm are checked
+then.  So `topology --trace` reads no amplitudes, and `distance-matrix`
+reads one snapshot.
 
 Everything but the snapshot encoding, the snapshot decoding and
 `write_pgm` runs without numpy, so a trace without snapshots is written
@@ -29,7 +32,8 @@ from pathlib import Path
 from collections.abc import Iterable, Sequence
 from typing import TYPE_CHECKING
 
-from .qca import MAX_QUBITS, GateRecord, LayerRecord, Matrix2, QcaConfig, RunTrace, UpdateRule
+from .qca import (IDENTITY_2, MAX_QUBITS, LayerRecord, Matrix2, QcaConfig, RunTrace, UpdateRule,
+                  _layer_records, _phase_layer, _snapshot_layers, _species_layers)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -184,6 +188,13 @@ class _EncodedSnapshots(Sequence):
         return self.layers[i], _snapshot_from_b64(self._texts[i], self._config)
 
 
+def _layer_json(layer: LayerRecord) -> dict:
+    """A layer as a trace holds it: written so, and loaded only if it is so."""
+    return {"index": layer.index, "species": layer.species,
+            "gates": [{"target": g.target, "controls": list(g.controls), "kind": g.kind}
+                      for g in layer.gates]}
+
+
 def trace_to_json_obj(trace: RunTrace) -> dict:
     """The trace as JSON; "snapshots" is there exactly when the trace holds some."""
     cfg = trace.config
@@ -199,17 +210,7 @@ def trace_to_json_obj(trace: RunTrace) -> dict:
         },
         "granularity": trace.granularity,
         "labels": list(cfg.register_sites),
-        "layers": [
-            {
-                "index": layer.index,
-                "species": layer.species,
-                "gates": [
-                    {"target": g.target, "controls": list(g.controls), "kind": g.kind}
-                    for g in layer.gates
-                ],
-            }
-            for layer in trace.layers
-        ],
+        "layers": [_layer_json(layer) for layer in trace.layers],
     }
     if trace.snapshots:
         obj["snapshots"] = [
@@ -241,33 +242,10 @@ def _int(value, what: str, lo: int, hi: int) -> int:
     return value
 
 
-def _choice(value, what: str, allowed: tuple[str, ...]) -> str:
-    if value not in allowed:
-        raise ValueError(f"malformed trace: {what} {value!r} is not one of {allowed}")
-    return value
-
-
-def _gate_from_fields(g: dict, n_sites: int, species: str) -> GateRecord:
-    """A gate as `qca` records it: a rule gate of an A or B layer, controlled by
-    distinct neighbours of its target, or a phase gate of a phase layer, with none."""
-    target = _int(g["target"], "gate target", 1, n_sites)
-    controls = tuple(_int(c, "gate control", 1, n_sites) for c in g["controls"])
-    if len(set(controls)) < len(controls) or not set(controls) <= {target - 1, target + 1}:
-        raise ValueError(f"malformed trace: controls {list(controls)} of site {target} "
-                         "are not distinct neighbours of it")
-    kind = _choice(g["kind"], "gate kind", ("rule", "phase"))
-    if (kind == "phase") != (species == "phase"):
-        raise ValueError(f"malformed trace: a {kind} gate in a {species} layer")
-    if kind == "phase" and controls:
-        raise ValueError(f"malformed trace: the phase gate of site {target} has controls")
-    return GateRecord(target=target, controls=controls, kind=kind)
-
-
-def _layer_from_fields(l: dict, index: int, n_sites: int) -> LayerRecord:
-    index = _int(l["index"], "layer index", index, index)
-    species = _choice(l["species"], "species", ("A", "B", "phase"))
-    return LayerRecord(index=index, species=species,
-                       gates=tuple(_gate_from_fields(g, n_sites, species) for g in l["gates"]))
+def _same_json(found, want) -> bool:
+    """Whether parsed JSON `found` is `want`, with `true` and `1.0` not `1` as `==` has them;
+    `==` goes first as it stops at `want`'s shallow depth, so no deep junk is dumped."""
+    return found == want and json.dumps(found, sort_keys=True) == json.dumps(want, sort_keys=True)
 
 
 def _trace_from_fields(obj: dict) -> RunTrace:
@@ -279,19 +257,32 @@ def _trace_from_fields(obj: dict) -> RunTrace:
     labels = list(config.register_sites)
     if obj["labels"] != labels:
         raise ValueError(f"malformed trace: labels {obj['labels']!r}, expected {labels}")
-    layers = tuple(_layer_from_fields(l, i, n) for i, l in enumerate(obj["layers"], start=1))
+    species = [l["species"] for l in obj["layers"]]
+    n_rule = len(species) - (species[-1:] == ["phase"])
+    schedule = _species_layers(config, ("BA" * n_rule)[:n_rule])  # (B A)* [B]
+    if n_rule < len(species):
+        target = _int(obj["layers"][-1]["gates"][0]["target"], "phase target", 1, n)
+        schedule.append(_phase_layer(target, IDENTITY_2))  # a record holds no rule
+    layers = _layer_records(schedule)
+    for index, (found, want) in enumerate(zip(obj["layers"], layers), start=1):
+        _int(found["index"], "layer index", index, index)  # named here; the compare checks it too
+        if not _same_json(found, _layer_json(want)):
+            raise ValueError(f"malformed trace: layer {index} is not the {want.species} layer "
+                             "that qca writes for this config")
+    granularity, allowed = obj["granularity"], ("per_species_layer", "per_global_step")
+    if granularity not in allowed:
+        raise ValueError(f"malformed trace: granularity {granularity!r} is not one of {allowed}")
+    snaps = obj.get("snapshots", [])
+    at, kept = [s["layer"] for s in snaps], _snapshot_layers(layers, granularity)
+    if "snapshots" in obj and not _same_json(at, kept):  # written only when there are some
+        raise ValueError(f"malformed trace: a {granularity} trace has its snapshots "
+                         f'at layers {kept}, or no "snapshots" key')
     b64_len = 4 * -(-(16 << n) // 3)  # 2^N complex128
-    entries: list[tuple[int, str]] = []
-    for s in obj.get("snapshots", []):
-        first = entries[-1][0] + 1 if entries else 0
-        layer = _int(s["layer"], "snapshot layer", first, len(layers))
-        text = s["amplitudes_b64"]
+    entries = [(layer, s["amplitudes_b64"]) for layer, s in zip(kept, snaps)]
+    for layer, text in entries:
         if not isinstance(text, str) or len(text) != b64_len:
             raise ValueError(f"malformed trace: amplitudes of the snapshot at layer {layer} "
                              f"are not {b64_len} characters of base64")
-        entries.append((layer, text))
-    granularity = _choice(obj["granularity"], "granularity",
-                          ("per_species_layer", "per_global_step"))
     snapshots = _EncodedSnapshots(entries, config) if entries else ()
     return RunTrace(config=config, granularity=granularity, layers=layers, snapshots=snapshots)
 

@@ -355,8 +355,8 @@ def species_update(state: StateVector, config: QcaConfig, species: str) -> State
     """Apply the site update to every site of one species.
 
     Same-species gates commute (each gate's controls are only ever other
-    gates' controls, and controls act diagonally), so the ascending site
-    order used here is a convention, not a requirement.
+    gates' controls, and controls act diagonally), so the state needs no
+    order; the trace format pins the ascending site order used here.
     """
     if species not in ("A", "B"):
         raise ValueError("species must be 'A' or 'B'")
@@ -386,17 +386,20 @@ def _layer_records(schedule: list) -> tuple[LayerRecord, ...]:
                  for index, (species, _, gates) in enumerate(schedule, start=1))
 
 
+def _snapshot_layers(layers: tuple[LayerRecord, ...], record: str) -> list[int]:
+    """Where `_evolve` snapshots: at 0, then each layer, or each A layer if "per_global_step"."""
+    return [0] + [l.index for l in layers if record == "per_species_layer" or l.species == "A"]
+
+
 def _evolve(config: QcaConfig, state: StateVector, schedule: list,
             record: str = "per_species_layer") -> RunTrace:
-    """Apply `(species, rule, gates)` layers in order and record every one.
-
-    Snapshot 0 is `state`; one follows every layer, or every A layer for "per_global_step".
-    """
+    """Apply `(species, rule, gates)` layers to `state`; record each, and snapshots."""
     layers = _layer_records(schedule)
+    kept = _snapshot_layers(layers, record)
     snapshots: list[tuple[int, StateVector]] = [(0, state)]
     for layer, (_, rule, _) in zip(layers, schedule):
         state = _apply_gates(state, rule, layer.gates)
-        if record == "per_species_layer" or layer.species == "A":
+        if layer.index in kept:
             snapshots.append((layer.index, state))
     return RunTrace(config=config, granularity=record, layers=layers, snapshots=tuple(snapshots))
 

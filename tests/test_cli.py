@@ -564,6 +564,22 @@ class TestTraceInputErrors:
         assert "layer index 1.5" in capsys.readouterr().err
         assert not (tmp_path / "t").exists()
 
+    def test_moved_gate_exit_2(self, tmp_path, capsys):
+        run_cli("run", "--experiment", "topology", "--n-sites", 14, "--thickness", 7,
+                "--out", tmp_path / "r")
+        path = tmp_path / "r" / "trace.json"
+        obj = json.loads(path.read_text())
+        gate = obj["layers"][0]["gates"][1]
+        assert gate == {"target": 3, "controls": [2, 4], "kind": "rule"}
+        gate.update(target=4, controls=[3, 5])  # every field in range, on an A site
+        path.write_text(json.dumps(obj))
+        capsys.readouterr()
+        code = run_cli("topology", "--trace", path, "--out", tmp_path / "t")
+        assert code == 2
+        assert capsys.readouterr().err == ("error: malformed trace: layer 1 is not the B layer "
+                                           "that qca writes for this config\n")
+        assert not (tmp_path / "t").exists()
+
     @pytest.mark.parametrize("entry", [math.inf, 1e308])
     def test_bad_rule_matrix_exit_2(self, tmp_path, capsys, entry):
         run_cli("run", "--experiment", "topology", "--n-sites", 4, "--thickness", 2,

@@ -174,6 +174,27 @@ class TestTraceRoundtrip:
         lambda o: o.__setitem__("format", "qcageom-trace-v1"),
         lambda o: o["config"]["rule"].__setitem__("name", [1, {"a": None}]),
         lambda o: o["config"]["rule"].__setitem__("name", 3),
+        # layers and snapshots that no run writes, most with every field in range
+        lambda o: o["layers"][0]["gates"][1].update(target=4, controls=[3, 5]),
+        lambda o: o["layers"][0]["gates"].reverse(),
+        lambda o: o["layers"][0]["gates"].pop(),
+        lambda o: o["layers"][0]["gates"].append(dict(o["layers"][0]["gates"][2])),
+        lambda o: o["layers"][0]["gates"][1].__setitem__("controls", [2]),
+        lambda o: o["layers"][0]["gates"][0].__setitem__("target", True),
+        lambda o: o["layers"][0]["gates"][0].__setitem__("target", 1.0),
+        lambda o: [l.__setitem__("species", s) for l, s in zip(o["layers"], "AB")],
+        lambda o: o["layers"][1].__setitem__("species", "B"),
+        lambda o: o["layers"][0].update(species="phase", gates=[
+            {"target": 1, "controls": [], "kind": "phase"}]),
+        lambda o: o["layers"].extend({"index": i, "species": "phase", "gates": [
+            {"target": 6, "controls": [], "kind": "phase"}]} for i in (3, 4)),
+        lambda o: o["snapshots"].pop(1),
+        lambda o: o.__setitem__("granularity", "per_global_step"),
+        lambda o: (o["layers"].append({"index": 3, "species": "phase", "gates": [
+            {"target": 7, "controls": [], "kind": "phase"}]}),
+            o["snapshots"].append(dict(o["snapshots"][2], layer=3))),
+        lambda o: o.__setitem__("snapshots", []),
+        lambda o: o.__setitem__("snapshots", {}),
     ])
     def test_malformed_fields_raise_value_error(self, mangle):
         config = QcaConfig(n_sites=6, rule=PI3_RULE)
@@ -247,6 +268,31 @@ class TestTraceFuzz:
                 assert state.n_qubits == 3
         except ValueError:  # InvariantError included
             pass
+
+
+#: Every kind of trace that `qca` writes: `run` with either granularity,
+#: with and without snapshots, and the two experiments with a phase layer.
+_WRITTEN_TRACES = st.one_of(
+    st.builds(lambda n, steps, parity, record, snapshots: run(
+        QcaConfig(n_sites=n, rule=PI3_RULE, b_parity=parity), steps, record=record,
+        snapshots=snapshots),
+        st.integers(2, 12), st.integers(0, 4), st.sampled_from(["odd", "even"]),
+        st.sampled_from(["per_species_layer", "per_global_step"]), st.booleans()),
+    st.builds(lambda n: propagate_experiment(n, KET_PLUS)[0],
+              st.integers(1, 6).map(lambda k: 2 * k)),
+    st.builds(lambda n: ghz_experiment(n)[0], st.integers(2, 6).map(lambda k: 2 * k)),
+)
+
+
+class TestWrittenTracesLoad:
+    @settings(deadline=None)
+    @given(_WRITTEN_TRACES)
+    def test_loads_with_the_written_layers(self, trace):
+        back = exports.trace_from_json_obj(
+            json.loads(exports.json_dumps(exports.trace_to_json_obj(trace))))
+        assert back.layers == trace.layers
+        assert back.granularity == trace.granularity
+        assert [l for l, _ in back.snapshots] == [l for l, _ in trace.snapshots]
 
 
 class TestDeterminism:
