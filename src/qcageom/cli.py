@@ -16,8 +16,9 @@ into place; on failure the temporaries, the written files and the
 directories the run created are removed.
 
 `infogeo`, `causal` and `topo` are imported by the commands that use
-them, and numpy only by the modules that build or read a state, so
-`run --experiment topology` and `topology --trace` load no numpy.
+them, and numpy only by the functions that build or read a state, so
+`run --experiment topology`, `topology --trace` and `sweep` without
+--pgm load no numpy.
 """
 from __future__ import annotations
 
@@ -247,10 +248,11 @@ def _cmd_sweep(args, out: _Outputs) -> int:
     if args.family == "werner":
         curve = infogeo.werner_sweep(grid)
         out.write_text("werner.csv", exports.sweep_csv(curve))
-        z_star = infogeo.werner_null_crossing()
+        tol = infogeo.NULL_CROSSING_TOL
+        z_star = infogeo.werner_null_crossing(tol)
         out.write_json("werner_crossing.json", {
             "z_star": z_star,
-            "bisection_tol": 1e-8,
+            "bisection_tol": tol,
             "sign_changes_on_grid": len(curve.sign_changes()),
         })
         print(f"z_star={z_star:.8f}")

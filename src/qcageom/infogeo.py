@@ -8,31 +8,48 @@ which is 0 for pure product marginals, negative in the presence of
 bipartite quantum correlations, and positive when classical uncertainty
 in the joint system dominates.  It can be negative, so the geometry it
 induces is pseudo-Riemannian rather than Riemannian.
+
+The Werner and pure-family sweeps take delta from the closed-form spectra
+of their states, so they need no numpy, and their endpoints are exact:
++2 and -2 for Werner, 0 and -2 for the pure family.  numpy and `statealg`
+are imported by the functions that build or measure a state, so importing
+this module, and the sweeps, load neither.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-import numpy as np
+from .qca import ENTROPY_FLOOR
 
-from .statealg import (
-    DensityMatrix,
-    StateVector,
-    partial_trace,
-    spectral_entropy,
-    von_neumann_entropy,
-)
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .statealg import DensityMatrix, StateVector
 
 #: Sentinel for pairs that were not requested in a DistanceField.  Zero is a
 #: meaningful distance (the "null distance" case), so it cannot double as a
 #: missing-value marker.
 UNCOMPUTED = float("nan")
 
+#: The bisection tolerance of `werner_null_crossing`, which `sweep` writes.
+NULL_CROSSING_TOL = 1e-8
+
+
+def __getattr__(name: str):
+    if name == "partial_trace":
+        # imported where it is used; reachable because perfbench/tests/test_traced.py
+        # checks that a traced run restores `infogeo.partial_trace`
+        from .statealg import partial_trace
+        return partial_trace
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 def _reduced_entropy(joint: DensityMatrix, part: set[int]) -> float:
+    from .statealg import partial_trace, von_neumann_entropy
+
     if part == set(joint.labels):
         return von_neumann_entropy(joint)
     return von_neumann_entropy(partial_trace(joint, part))
@@ -130,6 +147,10 @@ def _reduced_entropies(state: StateVector, groups: Sequence[tuple[int, ...]]) ->
     and each reduced state is Hermitian with unit trace, so only the sign
     of the spectrum is checked.
     """
+    import numpy as np
+
+    from .statealg import spectral_entropy
+
     n = state.n_qubits
     positions = tuple(tuple(sorted(state.position(lab) for lab in group)) for group in groups)
     blocks, spectra = _block_plan(n, positions)
@@ -148,20 +169,6 @@ def _reduced_entropies(state: StateVector, groups: Sequence[tuple[int, ...]]) ->
             for size, subscripts, uses in parts])
         out[list(idx)] = spectral_entropy(np.linalg.eigvalsh(rdms))
     return out
-
-
-def _two_qubit_distances(rho: np.ndarray) -> np.ndarray:
-    """delta between the two qubits of each 4x4 density matrix in a stack.
-
-    The marginals are traced out of the 4x4 matrices, as `info_distance`
-    does for one matrix.
-    """
-    r = rho.reshape(-1, 2, 2, 2, 2)
-    s_ab, s_a, s_b = (
-        spectral_entropy(np.linalg.eigvalsh(m))
-        for m in (rho, np.einsum("katbt->kab", r), np.einsum("ktatb->kab", r))
-    )
-    return 2.0 * s_ab - s_a - s_b
 
 
 def site_entropies(state: StateVector, labels: Sequence[int] | None = None) -> dict[int, float]:
@@ -185,6 +192,8 @@ class DistanceField:
     site_entropies: dict[int, float] = None  # type: ignore[assignment]
 
     def __post_init__(self):
+        import numpy as np
+
         vals = np.asarray(self.values, dtype=float)
         n = len(self.labels)
         if vals.shape != (n, n):
@@ -245,6 +254,8 @@ def distance_field(
     A boundary label absent from the state is a virtual |0> qubit at the
     chain end it bounds: it adds no entropy, so its distance to x is S(x).
     """
+    import numpy as np
+
     boundary = tuple(dict.fromkeys(boundary_labels))
     labels = tuple(l for l in state.labels if include_boundary or l not in boundary)
     if include_boundary:
@@ -298,6 +309,8 @@ def block_structure_report(
     `seed_site`, which puts its own region first, must be one of the
     field's labels.
     """
+    import numpy as np
+
     labels = field.labels
     n = len(labels)
     if np.any(np.isnan(field.values)):
@@ -373,20 +386,57 @@ class SweepCurve:
         return out
 
 
-_BELL_PLUS = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
-
-
-def _werner_matrices(z: np.ndarray) -> np.ndarray:
-    """(1-z) I/4 + z |b+><b+| for each z of a 1-D array, as a (len(z), 4, 4) stack."""
-    if not np.all((0.0 <= z) & (z <= 1.0)):
+def _check_z(z) -> float:
+    """`z` as a float; ValueError unless it lies in [0, 1]."""
+    z = float(z)
+    if not 0.0 <= z <= 1.0:  # NaN fails too
         raise ValueError("z must lie in [0, 1]")
-    z = z[:, None, None]
-    return (1.0 - z) * np.eye(4, dtype=complex) / 4.0 + z * np.outer(_BELL_PLUS, _BELL_PLUS.conj())
+    return z
+
+
+def _xlnx(x: float) -> float:
+    """x ln x, or 0 for an eigenvalue up to ENTROPY_FLOOR, as `spectral_entropy` counts it."""
+    return x * math.log(x) if x > ENTROPY_FLOOR else 0.0
+
+
+def _bits(nats: float) -> float:
+    """The entropy -sum(lambda ln lambda) / ln 2 from its sum, clipped at 0 (+0.0, not -0.0)."""
+    return max(0.0 - nats / math.log(2.0), 0.0)
+
+
+def _werner_delta(z: float) -> float:
+    """delta of `werner_state(z)`.
+
+    rho_AB has eigenvalues (1+3z)/4 once and (1-z)/4 three times, and both
+    marginals are I/2, so S(A) = S(B) = 1.
+    """
+    s_ab = _bits(_xlnx((1.0 + 3.0 * z) / 4.0) + 3.0 * _xlnx((1.0 - z) / 4.0))
+    return 2.0 * s_ab - 2.0
+
+
+def _pure_family_delta(z: float) -> float:
+    """delta of `pure_family_state(z)`: the state is pure, so S(AB) = 0 and S(B) = S(A).
+
+    The marginal has eigenvalues (1 +- sqrt((1-z)(1+3z))/(1+z))/2.  The
+    smaller one is taken as det / larger, det = (z/(1+z))^2, and the
+    larger one's log as log1p(-smaller), so nothing cancels near z = 0.
+    """
+    big = (1.0 + math.sqrt((1.0 - z) * (1.0 + 3.0 * z)) / (1.0 + z)) / 2.0
+    small = (z / (1.0 + z)) ** 2 / big
+    s_a = _bits(_xlnx(small) + big * math.log1p(-small))
+    return 0.0 - s_a - s_a
 
 
 def werner_state(z: float) -> DensityMatrix:
     """(1-z) I/4 + z |b+><b+| on labels (0, 1)."""
-    return DensityMatrix(_werner_matrices(np.array([z], dtype=float))[0], (0, 1))
+    import numpy as np
+
+    from .statealg import DensityMatrix
+
+    z = _check_z(z)
+    bell_plus = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
+    rho = (1.0 - z) * np.eye(4, dtype=complex) / 4.0 + z * np.outer(bell_plus, bell_plus.conj())
+    return DensityMatrix(rho, (0, 1))
 
 
 def pure_family_state(z: float) -> StateVector:
@@ -396,40 +446,43 @@ def pure_family_state(z: float) -> StateVector:
     properties (zero distance only at z=0, negative elsewhere) hold for
     the normalized family, so normalization is applied here.
     """
-    if not 0.0 <= z <= 1.0:
-        raise ValueError("z must lie in [0, 1]")
+    import numpy as np
+
+    from .statealg import StateVector
+
+    z = _check_z(z)
     amps = np.array([math.sqrt(1.0 - z), math.sqrt(z), math.sqrt(z), 0.0], dtype=complex)
     return StateVector(amps / math.sqrt(1.0 + z), (0, 1))
 
 
 def werner_sweep(grid: Iterable[float]) -> SweepCurve:
-    """delta(z) for the Werner family; +2 at z=0, -2 at z=1."""
+    """delta(z) for the Werner family; exactly +2 at z=0 and -2 at z=1."""
     grid = tuple(grid)
-    vals = _two_qubit_distances(_werner_matrices(np.array(grid, dtype=float)))
-    return SweepCurve(grid=grid, values=tuple(vals))
+    return SweepCurve(grid=grid, values=tuple(_werner_delta(_check_z(z)) for z in grid))
 
 
 def pure_family_sweep(grid: Iterable[float]) -> SweepCurve:
-    """delta(z) for the normalized pure family; 0 at z=0, negative beyond."""
+    """delta(z) for the normalized pure family; exactly 0 at z=0 and -2 at z=1, negative between."""
     grid = tuple(grid)
-    amps = np.array([pure_family_state(z).amplitudes for z in grid]).reshape(-1, 4, 1)
-    vals = _two_qubit_distances(amps @ amps.conj().transpose(0, 2, 1))
-    return SweepCurve(grid=grid, values=tuple(vals))
+    return SweepCurve(grid=grid, values=tuple(_pure_family_delta(_check_z(z)) for z in grid))
 
 
-def werner_null_crossing(tol: float = 1e-8) -> float:
-    """Bisect the unique z* in (1/3, 1) where the Werner delta changes sign."""
+def werner_null_crossing(tol: float = NULL_CROSSING_TOL) -> float:
+    """Bisect the unique z* in (1/3, 1) where the Werner delta changes sign.
+
+    Bisection stops when the bracket is at most `tol` wide, a finite number
+    > 0, or when no float lies between its ends.
+    """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be a finite number > 0, not {tol!r}")
     lo, hi = 1.0 / 3.0, 1.0
-
-    def f(z: float) -> float:
-        return _two_qubit_distances(_werner_matrices(np.array([z])))[0]
-
-    flo = f(lo)
-    if flo <= 0:
+    if _werner_delta(lo) <= 0:
         raise ValueError("no sign change bracketed above z = 1/3")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if f(mid) > 0:
+        if mid in (lo, hi):
+            break
+        if _werner_delta(mid) > 0:
             lo = mid
         else:
             hi = mid

@@ -33,10 +33,14 @@ if TYPE_CHECKING:
 
     from .statealg import StateVector
 
-# The register cap, and the tolerance and error of every numerical
-# invariant: defined here, where no numpy is loaded, and re-bound by `statealg`.
+# The register cap, the tolerance and error of every numerical invariant,
+# and the entropy floor: defined here, where no numpy is loaded, and
+# re-bound by `statealg`.
 MAX_QUBITS = 16
 ATOL = 1e-10
+# Eigenvalues in [-ATOL, ENTROPY_FLOOR] are treated as exact zeros when
+# evaluating entropies; anything below -ATOL is a genuine violation.
+ENTROPY_FLOOR = 1e-12
 
 
 class InvariantError(ValueError):
@@ -231,8 +235,10 @@ class RunTrace:
     layers: tuple[LayerRecord, ...]
     #: (layer index, state after that layer), in layer order.  `run` builds
     #: a tuple.  A trace loaded by `exports` holds a read-only sequence that
-    #: decodes and checks an entry each time it is indexed or iterated, and
-    #: that names the layers it holds in its `layers` attribute.
+    #: reads, decodes and checks an entry each time it is indexed, sliced
+    #: (a slice is a tuple) or iterated, and that names the layers it holds
+    #: in its `layers` attribute.  Its base64 is read from the trace file,
+    #: which stays open while the sequence lives.
     snapshots: Sequence[tuple[int, StateVector]]
 
     @property

@@ -21,11 +21,7 @@ import numpy as np
 
 # Defined in `qca`, which loads no numpy, so the modules that need no
 # state can use them too.
-from .qca import ATOL, MAX_QUBITS, InvariantError
-
-# Eigenvalues in [-ATOL, ENTROPY_FLOOR] are treated as exact zeros when
-# evaluating entropies; anything below -ATOL is a genuine violation.
-ENTROPY_FLOOR = 1e-12
+from .qca import ATOL, ENTROPY_FLOOR, MAX_QUBITS, InvariantError
 
 
 def _as_labels(labels, n: int) -> tuple[int, ...]:

@@ -97,8 +97,8 @@ class TestTopologyLoadsNoNumpy:
         return out.splitlines()[-1]
 
     def test_import_of_the_causal_modules(self):
-        out = python("import sys, qcageom.qca, qcageom.causal, qcageom.topo, qcageom.exports; "
-                     "print('numpy' in sys.modules)")
+        out = python("import sys, qcageom.qca, qcageom.causal, qcageom.topo, qcageom.exports, "
+                     "qcageom.infogeo; print('numpy' in sys.modules)")
         assert out == "False\n"
 
     def test_run_topology(self, tmp_path):
@@ -116,6 +116,24 @@ class TestTopologyLoadsNoNumpy:
         assert '"snapshots"' in trace.read_text()
         assert self.main_loads_numpy("topology", "--trace", trace, "--i-max", 3,
                                      "--out", tmp_path / "t") == "0 False"
+
+
+class TestSweepLoadsNoNumpy:
+    """The sweeps take delta from closed-form spectra; only the PGM heatmap loads numpy."""
+
+    @pytest.mark.parametrize("family", ["werner", "pure_family"])
+    def test_sweep(self, tmp_path, family):
+        assert TestTopologyLoadsNoNumpy.main_loads_numpy(
+            "sweep", "--family", family, "--samples", 11, "--out", tmp_path / "s") == "0 False"
+        assert len((tmp_path / "s" / f"{family}.csv").read_text().splitlines()) == 12
+
+    def test_sweep_pgm(self, tmp_path):
+        assert TestTopologyLoadsNoNumpy.main_loads_numpy(
+            "sweep", "--family", "werner", "--samples", 11, "--pgm",
+            "--out", tmp_path / "s") == "0 True"
+        pgm = (tmp_path / "s" / "werner.pgm").read_bytes()
+        header = b"P5\n11 1\n255\n"
+        assert pgm.startswith(header) and len(pgm) == len(header) + 11
 
 
 needs_proc = pytest.mark.skipif(not Path("/proc/self/task").is_dir(),

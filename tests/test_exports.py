@@ -1,9 +1,17 @@
 """File formats: round-trips, sentinel handling, PGM mapping, determinism."""
 from __future__ import annotations
 
+import base64
+import gc
 import json
 import math
+import os
+import re
+import threading
 import tracemalloc
+import warnings
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -215,6 +223,40 @@ class TestTraceRoundtrip:
         assert np.array_equal(back.snapshots[-1][1].amplitudes,
                               trace.snapshots[-1][1].amplitudes)
 
+    def test_slices_read_each_entry(self, tmp_path):
+        trace = pi3_experiment(6, 3)
+        obj = exports.trace_to_json_obj(trace)
+        snap = obj["snapshots"][2]
+        amps = np.frombuffer(base64.b64decode(snap["amplitudes_b64"]), dtype="<c16") * 2.0
+        snap["amplitudes_b64"] = base64.b64encode(amps.astype("<c16").tobytes()).decode()
+        (tmp_path / "t.json").write_text(json.dumps(obj))
+        back = exports.load_trace(tmp_path / "t.json").snapshots
+        for sl in (slice(3, 6), slice(None, None, -3), slice(5, 100), slice(4, 1), slice(-2, None)):
+            got, want = back[sl], trace.snapshots[sl]
+            assert type(got) is tuple and [l for l, _ in got] == [l for l, _ in want]
+            assert all(np.array_equal(a.amplitudes, b.amplitudes)
+                       for (_, a), (_, b) in zip(got, want))
+        with pytest.raises(ValueError, match="norm"):  # each entry is checked as it is read
+            back[1:3]
+
+    @pytest.mark.parametrize("mangle", [
+        # after three base64 strings
+        lambda t: t.replace(b'",\n      "layer": 2', b'"\n      "layer": 2'),
+        lambda t: t.replace(b'"layer": 3\n    }', b'"layer": 3\n    ]'),
+        lambda t: t[:-3],
+        lambda t: t.replace(b'"granularity"', b"'granularity'"),  # before the snapshots
+        lambda t: t.replace(b'"gates"', b'"gates\x01"', 1).replace(b"\n", b"\r\n"),
+    ])
+    def test_syntax_error_names_its_file_position(self, tmp_path, mangle):
+        exports.save_trace(tmp_path / "t.json", pi3_experiment(6, 3))
+        path = tmp_path / "t.json"
+        path.write_bytes(mangle(path.read_bytes()))
+        with pytest.raises(json.JSONDecodeError) as want:
+            json.loads(path.read_text(encoding="utf-8"))
+        with pytest.raises(ValueError) as got:
+            exports.load_trace(path)
+        assert str(got.value) == str(want.value)
+
 
 #: Values that replace a field of a trace: every JSON type, and numbers out of range.
 _JUNK = st.one_of(st.none(), st.booleans(), st.integers(-2, 20), st.floats(),
@@ -268,6 +310,202 @@ class TestTraceFuzz:
                 assert state.n_qubits == 3
         except ValueError:  # InvariantError included
             pass
+
+
+def _oracle_load(path: Path) -> RunTrace:
+    """The reader's reference: `json` parses the whole text, then the object is checked."""
+    return exports.trace_from_json_obj(json.loads(path.read_text(encoding="utf-8")))
+
+
+def _outcome(load, path: Path):
+    """The message of `load(path)`'s ValueError, or the trace with each snapshot read."""
+    try:
+        trace = load(path)
+    except ValueError as exc:
+        return str(exc)
+    snapshots = []
+    for i in range(len(trace.snapshots)):
+        try:
+            layer, state = trace.snapshots[i]
+            snapshots.append((layer, state.amplitudes.tobytes()))
+        except ValueError as exc:  # InvariantError included
+            snapshots.append(str(exc))
+    cfg = trace.config
+    return (cfg.n_sites, cfg.b_parity, cfg.rule.name, cfg.rule.unitaries, trace.granularity,
+            trace.layers, snapshots)
+
+
+def _reversed_keys(node):
+    if isinstance(node, dict):
+        return {k: _reversed_keys(node[k]) for k in reversed(list(node))}
+    if isinstance(node, list):
+        return [_reversed_keys(v) for v in node]
+    return node
+
+
+def _layout(draw, obj) -> bytes:
+    """The trace text as written, compact, re-indented, or with every key order reversed."""
+    how = draw(st.sampled_from(["written", "compact", "indented", "reversed"]))
+    if how == "written":
+        return exports.json_dumps(obj).encode()
+    if how == "compact":
+        return json.dumps(obj, separators=(",", ":")).encode()
+    if how == "indented":
+        return json.dumps(obj, indent=draw(st.sampled_from([0, 1, 5, "\t"]))).encode()
+    return json.dumps(_reversed_keys(obj), indent=1).encode()
+
+
+def _alter_bytes(draw, data: bytes) -> bytes:
+    """One change to the text: inside a base64 string, to its keys, or to the whole file."""
+    strings = [m.span(1) for m in re.finditer(rb'"amplitudes_b64":\s*"([^"]*)"', data)]
+    how = draw(st.sampled_from(["escape", "bad escape", "control", "non-ASCII", "truncate",
+                                "two snapshots keys", "escaped key", "BOM", "CRLF"]))
+    if how in ("escape", "bad escape", "control", "non-ASCII") and strings:
+        start, end = draw(st.sampled_from(strings))
+        if start == end:
+            return data
+        i = draw(st.integers(start, end - 1))
+        char = data[i:i + 1]
+        new = {"escape": b"\\/" if char == b"/" else b"\\u%04x" % data[i],
+               "bad escape": draw(st.sampled_from([b"\\q", b"\\u00", b"\\"])),
+               "control": bytes([draw(st.integers(0, 31))]),
+               "non-ASCII": draw(st.sampled_from([b"\xc3\xa9", b"\xe9", b"\xf0\x9f\x98\x80"])),
+               }[how]
+        return data[:i] + new + data[i + 1:]
+    if how == "truncate":
+        return data[:draw(st.integers(0, len(data)))]
+    if how == "two snapshots keys":
+        i = data.rfind(b"}")
+        snaps = draw(st.sampled_from([[], [{"layer": 0, "amplitudes_b64": "A" * 172}]]))
+        return data[:i] + b',"snapshots":' + json.dumps(snaps).encode() + data[i:]
+    if how == "escaped key":
+        return data.replace(b'"amplitudes_b64"', b'"amplitudes\\u005fb64"', draw(st.integers(1, 3)))
+    if how == "BOM":
+        return b"\xef\xbb\xbf" + data
+    return data.replace(b"\n", b"\r\n")
+
+
+class TestReaderEquivalence:
+    """`load_trace` gives what `json.loads` of the whole text and `trace_from_json_obj` give."""
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_same_trace_or_same_error(self, tmp_path_factory, data):
+        config = QcaConfig(n_sites=3, rule=PI3_RULE)
+        obj = json.loads(exports.json_dumps(exports.trace_to_json_obj(
+            run(config, 1, initial_state(config, {2: KET_PLUS})))))
+        text = obj["snapshots"][0]["amplitudes_b64"]
+        for _ in range(data.draw(st.integers(0, 1), label="base64 mutations")):
+            _alter_b64(data.draw, obj)
+        for _ in range(data.draw(st.integers(0, 1), label="field mutations")):
+            _alter_field(data.draw, obj)
+        if data.draw(st.booleans(), label="base64 key outside the snapshots"):
+            obj[data.draw(st.sampled_from(["labels", "granularity", "extra"]))] = {
+                "amplitudes_b64": text}
+        file = _layout(data.draw, obj)
+        for _ in range(data.draw(st.integers(0, 2), label="text changes")):
+            file = _alter_bytes(data.draw, file)
+        path = tmp_path_factory.mktemp("trace") / "t.json"
+        path.write_bytes(file)
+        scan_bytes = data.draw(st.sampled_from([1, 2, 3, 7, 64, exports._SCAN_BYTES]))
+        with mock.patch.object(exports, "_SCAN_BYTES", scan_bytes):  # pieces end anywhere
+            got = _outcome(exports.load_trace, path)
+        assert got == _outcome(_oracle_load, path)
+
+    @pytest.mark.parametrize("old, new, loads", [
+        (b"A", b"\\u0041", True),
+        (b"/", b"\\/", True),
+        (b"A", b"\xc3\xa9", True),  # loads; its read fails, as the oracle's does
+        (b"A", b"\x01", False),
+        (b"A", b"\\q", False),
+        (b"A", b"\xe9", False),
+    ], ids=["u-escape", "solidus", "non-ASCII", "control", "bad escape", "not UTF-8"])
+    def test_unread_snapshot_string_checked_at_load(self, tmp_path, old, new, loads):
+        path = tmp_path / "t.json"
+        exports.save_trace(path, pi3_experiment(6, 3))
+        text = path.read_bytes()
+        at = text.rindex(b'"amplitudes_b64"')  # the last snapshot, which no command reads here
+        at = text.index(old, text.index(b'"', at + 17) + 1)
+        path.write_bytes(text[:at] + new + text[at + 1:])
+        got = _outcome(exports.load_trace, path)
+        assert got == _outcome(_oracle_load, path)
+        assert isinstance(got, tuple) == loads
+
+    @pytest.mark.parametrize("make", [
+        lambda: pi3_experiment(8, 3),
+        lambda: _without_snapshots(pi3_experiment(8, 3)),
+        lambda: propagate_experiment(6, KET_PLUS)[0],
+        lambda: ghz_experiment(10)[0],
+    ], ids=["pi3", "pi3-no-snapshots", "propagate", "ghz10"])
+    def test_resave_is_byte_identical(self, tmp_path, make):
+        exports.save_trace(tmp_path / "t.json", make())
+        exports.save_trace(tmp_path / "u.json", exports.load_trace(tmp_path / "t.json"))
+        assert (tmp_path / "u.json").read_bytes() == (tmp_path / "t.json").read_bytes()
+
+
+class TestTraceFile:
+    """What a loaded trace reads: the loaded bytes, through an open file that it closes."""
+
+    def test_peak_memory_follows_the_snapshot_read(self, tmp_path):
+        path = tmp_path / "t.json"
+        exports.save_trace(path, pi3_experiment(12, 6))
+        b64_bytes = 4 * -(-(16 << 12) // 3)
+        tracemalloc.start()
+        try:
+            trace = exports.load_trace(path)
+            load_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            trace.snapshots[24]
+            read_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > 25 * b64_bytes
+        assert load_peak < 3 * b64_bytes and read_peak < 4 * b64_bytes
+
+    def test_replaced_file_reads_the_loaded_bytes(self, tmp_path):
+        path = tmp_path / "t.json"
+        trace = pi3_experiment(6, 3)
+        exports.save_trace(path, trace)
+        back = exports.load_trace(path)
+        exports.save_trace(tmp_path / "other.json", pi3_experiment(6, 2))
+        os.replace(tmp_path / "other.json", path)
+        assert np.array_equal(back.snapshots[5][1].amplitudes, trace.snapshots[5][1].amplitudes)
+
+    def test_truncated_file_raises_value_error(self, tmp_path):
+        path = tmp_path / "t.json"
+        exports.save_trace(path, pi3_experiment(6, 3))
+        back = exports.load_trace(path)
+        os.truncate(path, path.stat().st_size // 2)
+        back.snapshots[0]
+        with pytest.raises(ValueError, match="shorter than when it was loaded"):
+            back.snapshots[6]
+
+    def test_pipe(self, tmp_path):
+        path = tmp_path / "t.json"
+        exports.save_trace(path, pi3_experiment(6, 3))
+        read, write = os.pipe()
+        writer = threading.Thread(target=lambda: (os.write(write, path.read_bytes()),
+                                                  os.close(write)))
+        writer.start()
+        try:
+            got = _outcome(exports.load_trace, Path(f"/dev/fd/{read}"))
+        finally:
+            writer.join()
+            os.close(read)
+        assert got == _outcome(exports.load_trace, path)
+
+    def test_file_closed_with_its_snapshots(self, tmp_path):
+        path = tmp_path / "t.json"
+        exports.save_trace(path, pi3_experiment(6, 3))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for make in (lambda: pi3_experiment(6, 3), lambda: run(QcaConfig(6, PI3_RULE), 1,
+                                                                   snapshots=False)):
+                exports.save_trace(path, make())
+                trace = exports.load_trace(path)
+                del trace
+                gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 #: Every kind of trace that `qca` writes: `run` with either granularity,

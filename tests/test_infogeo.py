@@ -1,7 +1,9 @@
 """Information distance, distance fields, and the two parametric sweeps."""
 from __future__ import annotations
 
+import decimal
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -365,6 +367,44 @@ class TestSweeps:
             werner_sweep([0.5, 0.5])
         with pytest.raises(ValueError):
             werner_state(1.2)
+
+    @pytest.mark.parametrize("tol", [0.0, -0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_null_crossing_rejects_tol(self, tol):
+        with pytest.raises(ValueError, match="tol must be a finite number > 0"):
+            werner_null_crossing(tol)
+
+    @pytest.mark.parametrize("tol", [1e-20, 5e-324])
+    def test_null_crossing_below_float_spacing(self, tol):
+        # the bracket cannot shrink below one float spacing; bisection stops there
+        assert werner_null_crossing(tol) == pytest.approx(werner_null_crossing(), abs=1e-8)
+
+    @pytest.mark.parametrize("sweep", [werner_sweep, pure_family_sweep])
+    @pytest.mark.parametrize("z", [-0.1, 1.5, math.nan])
+    def test_sweep_rejects_z(self, sweep, z):
+        with pytest.raises(ValueError, match=r"z must lie in \[0, 1\]"):
+            sweep([0.0, z])
+
+    def test_sweeps_against_40_digit_oracle(self):
+        """Both sweeps on the CLI's 5001-point grid, against a 40-digit evaluation."""
+        grid = [i / 5000 for i in range(5001)]
+        werner, pure = werner_sweep(grid).values, pure_family_sweep(grid).values
+        assert (werner[0], werner[-1], pure[0], pure[-1]) == (2.0, -2.0, 0.0, -2.0)
+        assert math.copysign(1.0, pure[0]) == 1.0  # +0.0
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40
+            ln2 = Decimal(2).ln()
+
+            def bits(*spectrum):
+                return -sum((x * x.ln() for x in spectrum if x > 0), Decimal(0)) / ln2
+
+            for z, dw, dp in zip(grid, werner, pure):
+                d = Decimal(z)
+                small = (1 - d) / 4
+                expect_w = 2 * bits((1 + 3 * d) / 4, small, small, small) - 2
+                root = ((1 - d) * (1 + 3 * d)).sqrt() / (1 + d)
+                expect_p = -2 * bits((1 + root) / 2, (1 - root) / 2)
+                assert abs(Decimal(dw) - expect_w) <= Decimal("2e-15"), z
+                assert abs(Decimal(dp) - expect_p) <= Decimal("2e-15"), z
 
 
 class TestBlockReport:
