@@ -21,14 +21,12 @@ controls, which the poset does not record.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
-from .qca import RunTrace
+from .qca import Record, RunTrace
 
 
-@dataclass(frozen=True)
-class Wire:
+class Wire(Record):
     site: int
     layer: int
 
@@ -37,8 +35,7 @@ class Wire:
         return f"w:{self.site}:{self.layer}"
 
 
-@dataclass(frozen=True)
-class Gate:
+class Gate(Record):
     site: int
     layer: int
     kind: str  # "rule", "identity", or "phase"
@@ -179,8 +176,7 @@ class CausalPoset:
         return all(mask >> self._index[v] & 1 for v in self.nodes if v not in nodes)
 
 
-@dataclass(frozen=True)
-class AntiChain:
+class AntiChain(Record):
     """Pairwise incomparable node set; maximal if it cannot be extended."""
 
     nodes: frozenset[Node]
@@ -190,8 +186,7 @@ class AntiChain:
         object.__setattr__(self, "nodes", frozenset(self.nodes))
 
 
-@dataclass(frozen=True)
-class ThickenedAntiChain:
+class ThickenedAntiChain(Record):
     """An anti-chain together with the causal depth-i band above it.
 
     A node p at or above the base belongs to thickness i when the longest
@@ -210,7 +205,8 @@ class ThickenedAntiChain:
 def build_poset(trace: RunTrace) -> CausalPoset:
     """Combined wire/gate poset of a run, with identity insertion."""
     labels = trace.config.labels
-    nodes: list[Node] = [Wire(site, 0) for site in labels]
+    wire = {site: Wire(site, 0) for site in labels}  # each site's latest wire
+    nodes: list[Node] = list(wire.values())
     covers: list[tuple[Node, Node]] = []
     for layer in trace.layers:
         targeted = {g.target for g in layer.gates}
@@ -218,21 +214,23 @@ def build_poset(trace: RunTrace) -> CausalPoset:
             raise ValueError(f"layer {layer.index} targets unknown sites")
         if len(targeted) != len(layer.gates):
             raise ValueError(f"layer {layer.index} targets a site twice")
+        emitted = {}
         for rec in layer.gates:
             gate = Gate(rec.target, layer.index, rec.kind)
             nodes.append(gate)
             for site in (rec.target, *rec.controls):
-                covers.append((Wire(site, layer.index - 1), gate))
-            out = Wire(rec.target, layer.index)
+                covers.append((wire[site], gate))
+            out = emitted[rec.target] = Wire(rec.target, layer.index)
             nodes.append(out)
             covers.append((gate, out))
         for site in labels:
             if site not in targeted:
                 gate = Gate(site, layer.index, "identity")
-                out = Wire(site, layer.index)
+                out = emitted[site] = Wire(site, layer.index)
                 nodes.extend([gate, out])
-                covers.append((Wire(site, layer.index - 1), gate))
+                covers.append((wire[site], gate))
                 covers.append((gate, out))
+        wire = emitted
     return CausalPoset(nodes, covers)
 
 

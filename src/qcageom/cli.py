@@ -16,15 +16,15 @@ into place; on failure the temporaries, the written files and the
 directories the run created are removed.
 
 `infogeo`, `causal` and `topo` are imported by the commands that use
-them, and numpy only by the functions that build or read a state, so
-`run --experiment topology`, `topology --trace` and `sweep` without
---pgm load no numpy.
+them, the trace reader only by `distance-matrix` and `topology`, through
+`exports.load_trace`, and numpy only by the functions that build or read
+a state, so `run --experiment topology`, `topology --trace` and `sweep`
+without --pgm load no numpy.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import itertools
 import os
 import sys
@@ -41,6 +41,9 @@ if TYPE_CHECKING:
     from . import infogeo
 
 FIDELITY_TOL = 1e-9
+#: The most `sweep --samples`: a grid step of 1e-5.  The grid and both
+#: curves are held in memory, so a larger count is refused before any is built.
+MAX_SAMPLES = 100_001
 
 
 class _Outputs:
@@ -160,7 +163,7 @@ def _block_report_obj(field: infogeo.DistanceField, seed_site: int | None) -> di
 def _maybe_save_trace(out: _Outputs, trace: qca.RunTrace, args) -> None:
     if args.save_trace:
         if args.no_snapshots:
-            trace = dataclasses.replace(trace, snapshots=())
+            trace = trace.replace(snapshots=())
         out.write("trace.json", exports.save_trace, trace)
 
 
@@ -244,6 +247,8 @@ def _cmd_sweep(args, out: _Outputs) -> int:
 
     if args.samples < 2:
         raise ValueError("need at least 2 samples")
+    if args.samples > MAX_SAMPLES:
+        raise ValueError(f"more than {MAX_SAMPLES} samples")
     grid = [i / (args.samples - 1) for i in range(args.samples)]
     if args.family == "werner":
         curve = infogeo.werner_sweep(grid)

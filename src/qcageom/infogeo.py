@@ -18,11 +18,10 @@ this module, and the sweeps, load neither.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .qca import ENTROPY_FLOOR
+from .qca import ENTROPY_FLOOR, Record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -177,8 +176,7 @@ def site_entropies(state: StateVector, labels: Sequence[int] | None = None) -> d
     return dict(zip(labels, map(float, _reduced_entropies(state, [(lab,) for lab in labels]))))
 
 
-@dataclass(frozen=True, eq=False)
-class DistanceField:
+class DistanceField(Record, eq=False):
     """Symmetric matrix of pairwise distances over an ordered label list.
 
     Entries for pairs that were not computed hold NaN; the diagonal is
@@ -283,8 +281,7 @@ def distance_field(
                          site_entropies=s_site)
 
 
-@dataclass(frozen=True)
-class BlockReport:
+class BlockReport(Record):
     """Structure of an all-pairs distance field split by its zero-graph.
 
     Sites land in one region when their mutual distance is below `tol`.
@@ -361,8 +358,7 @@ def block_structure_report(
     return BlockReport(regions=region_labels, pattern_holds=ok, cross_min=cross_min, note=note)
 
 
-@dataclass(frozen=True)
-class SweepCurve:
+class SweepCurve(Record):
     """delta sampled over a strictly increasing parameter grid."""
 
     grid: tuple[float, ...]

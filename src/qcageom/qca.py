@@ -19,13 +19,17 @@ gates that were applied, and no gate calls BLAS.
 Rules, configs, records, traces and `run(..., snapshots=False)` need no
 numpy: numpy and `statealg` are imported by the functions that build,
 evolve or measure a state, so the topology commands load neither.
+
+`Record`, defined here with the tolerance and error that every module
+shares, is the base of every record class of the package: the records
+here, the states of `statealg`, the poset nodes of `causal`, the
+complexes of `topo` and the fields of `infogeo`.
 """
 from __future__ import annotations
 
 import math
 import numbers
 from collections.abc import Sequence
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -45,6 +49,107 @@ ENTROPY_FLOOR = 1e-12
 
 class InvariantError(ValueError):
     """A state or operator violates one of its numerical invariants."""
+
+
+class Record:
+    """An immutable record whose fields are the annotations of its class body.
+
+    `class Wire(Record)` with `site: int` and `layer: int` is built as
+    `Wire(1, 0)` or `Wire(site=1, layer=0)`; a value after a field's
+    annotation is its default.  A missing, extra or repeated argument is a
+    TypeError.  `__post_init__`, where a class defines one, runs after the
+    fields are set and may reset them with `object.__setattr__`.  Any other
+    assignment or deletion is an AttributeError.  `repr` is
+    `Wire(site=1, layer=0)`.
+
+    Records of one class are equal when their fields are, and hash as the
+    tuple of their fields, which is taken once, when the record is built;
+    `class R(Record, eq=False)` keeps identity instead.  A class that
+    defines `__init__` sets its fields with `_set_fields`.
+
+    It gives what `dataclass(frozen=True)` gave the package, without the
+    code that `dataclasses` compiles for each class at import.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, eq: bool = True, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        if "__init__" not in cls.__dict__:
+            cls.__init__ = _record_init(cls, eq)
+        if not eq:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+
+    def _set_fields(self, *values) -> None:
+        for field, value in zip(self._fields, values):
+            object.__setattr__(self, field, value)
+        object.__setattr__(self, "_values", values)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def replace(self, **changes):
+        """A copy with `changes` to some fields; `__post_init__` runs on it."""
+        return self.__class__(**{f: getattr(self, f) for f in self._fields} | changes)
+
+
+def _record_init(cls: type, eq: bool):
+    """The `__init__` of a record class without one of its own."""
+    fields, set_field = cls._fields, object.__setattr__
+    n, names = len(fields), frozenset(fields)
+    defaults = {f: cls.__dict__[f] for f in fields if f in cls.__dict__}
+    required, tail = n - len(defaults), tuple(defaults.values())
+    if fields[required:] != tuple(defaults):
+        raise TypeError(f"{cls.__qualname__}: a field without a default follows one with it")
+    post_init = cls.__dict__.get("__post_init__")
+
+    def bind(args: tuple, kwargs: dict) -> tuple:
+        """The fields of a call, bound as Python binds `(self, field, ..., field=default)`."""
+        if not kwargs and required <= len(args) < n:
+            return args + tail[len(args) - required:]
+        if len(args) > n:
+            raise TypeError(f"{cls.__qualname__}() takes {n} positional arguments "
+                            f"but {len(args)} were given")
+        values = {**defaults, **kwargs}
+        for field, value in zip(fields, args):
+            if field in kwargs:
+                raise TypeError(f"{cls.__qualname__}() got multiple values for "
+                                f"argument {field!r}")
+            values[field] = value
+        if values.keys() != names:
+            wrong = [f"unexpected argument {f!r}" for f in values if f not in names]
+            wrong += [f"missing argument {f!r}" for f in fields if f not in values]
+            raise TypeError(f"{cls.__qualname__}(): {', '.join(wrong)}")
+        return tuple(map(values.__getitem__, fields))
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != n:
+            args = bind(args, kwargs)
+        for field, value in zip(fields, args):
+            set_field(self, field, value)
+        if post_init is not None:
+            post_init(self)
+        if eq:  # the fields as `__post_init__` left them
+            set_field(self, "_values", args if post_init is None
+                      else tuple(getattr(self, f) for f in fields))
+
+    return __init__
 
 
 #: Calibrated angle of the final Z rotation in the propagation experiment
@@ -121,8 +226,7 @@ def _is_unitary(u: Matrix2) -> bool:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class UpdateRule:
+class UpdateRule(Record, eq=False):
     """The quadruple (u0, u1, u2, u3) of single-qubit unitaries.
 
     u_c is applied to a site when its (left, right) neighbors are in the
@@ -165,8 +269,7 @@ PULSE_RULE = x_pulse_rule(math.pi / 2, name="pulse")
 PI3_RULE = x_pulse_rule(math.pi / 3, name="pi3")
 
 
-@dataclass(frozen=True)
-class QcaConfig:
+class QcaConfig(Record):
     """Register geometry, update rule, and species assignment.
 
     `b_parity` names the parity ("odd" or "even", 1-based sites) that
@@ -210,8 +313,7 @@ class QcaConfig:
         return tuple(s for s in self.register_sites if self.species_of(s) == species)
 
 
-@dataclass(frozen=True)
-class GateRecord:
+class GateRecord(Record):
     """One applied gate: target site, causally relevant control sites."""
 
     target: int
@@ -219,15 +321,13 @@ class GateRecord:
     kind: str = "rule"  # "rule" or "phase"
 
 
-@dataclass(frozen=True)
-class LayerRecord:
+class LayerRecord(Record):
     index: int
     species: str  # "A", "B", or "phase"
     gates: tuple[GateRecord, ...]
 
 
-@dataclass(frozen=True, eq=False)
-class RunTrace:
+class RunTrace(Record, eq=False):
     """Gate records plus state snapshots from one QCA run."""
 
     config: QcaConfig
@@ -265,7 +365,7 @@ def _control_sites(site: int, n_sites: int) -> tuple[int, ...]:
 
 def _species_gates(config: QcaConfig, species: str) -> tuple[GateRecord, ...]:
     return tuple(
-        GateRecord(target=s, controls=_control_sites(s, config.n_sites))
+        GateRecord(s, _control_sites(s, config.n_sites))
         for s in config.species_sites(species)
     )
 
@@ -377,8 +477,9 @@ def global_update(state: StateVector, config: QcaConfig) -> StateVector:
 
 
 def _species_layers(config: QcaConfig, species: str) -> list:
-    """One `(species, rule, gates)` layer per letter of `species`."""
-    return [(s, config.rule, _species_gates(config, s)) for s in species]
+    """One `(species, rule, gates)` layer per letter of `species`; one species, one gate tuple."""
+    gates = {s: _species_gates(config, s) for s in set(species)}
+    return [(s, config.rule, gates[s]) for s in species]
 
 
 def _phase_layer(site: int, u):
@@ -388,7 +489,7 @@ def _phase_layer(site: int, u):
 
 
 def _layer_records(schedule: list) -> tuple[LayerRecord, ...]:
-    return tuple(LayerRecord(index=index, species=species, gates=gates)
+    return tuple(LayerRecord(index, species, gates)
                  for index, (species, _, gates) in enumerate(schedule, start=1))
 
 

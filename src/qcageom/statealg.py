@@ -14,14 +14,13 @@ functions, so they are safe to share between threads.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 # Defined in `qca`, which loads no numpy, so the modules that need no
 # state can use them too.
-from .qca import ATOL, ENTROPY_FLOOR, MAX_QUBITS, InvariantError
+from .qca import ATOL, ENTROPY_FLOOR, MAX_QUBITS, InvariantError, Record
 
 
 def _as_labels(labels, n: int) -> tuple[int, ...]:
@@ -71,8 +70,7 @@ def is_unitary(u: np.ndarray, atol: float = ATOL) -> bool:
     return bool(np.all(np.abs(u.conj().T @ u - np.eye(u.shape[0])) <= atol))
 
 
-@dataclass(frozen=True, eq=False)
-class StateVector:
+class StateVector(Record, eq=False):
     """Pure state of n qubits as 2^n complex amplitudes."""
 
     amplitudes: np.ndarray
@@ -101,8 +99,7 @@ class StateVector:
             raise ValueError(f"unknown qubit label {label!r}") from None
 
 
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
+class DensityMatrix(Record, eq=False):
     """Hermitian, unit-trace, positive-semidefinite matrix on n qubits."""
 
     matrix: np.ndarray

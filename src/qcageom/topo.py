@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import Iterable
 
 from .causal import AntiChain, CausalPoset, Gate, Wire, thicken
+from .qca import Record
 
 BettiVector = tuple[int, ...]
 
@@ -33,8 +33,7 @@ def _maximal(sets: Iterable[frozenset]) -> frozenset[frozenset]:
     return frozenset(kept)
 
 
-@dataclass(frozen=True, init=False)
-class SimplicialComplex:
+class SimplicialComplex(Record):
     """Vertex set plus a face-closed family of simplices.
 
     The complex is stored by its maximal simplices (its cover).  The face
@@ -58,17 +57,13 @@ class SimplicialComplex:
                 if face and frozenset(face) not in simps:
                     raise ValueError(f"face closure violated at {sorted(s)!r}")
         facets = {s - {v} for s in simps if len(s) > 1 for v in s}
-        self._set(verts, simps - facets)
+        self._set_fields(verts, simps - facets)
         object.__setattr__(self, "simplices", simps)
-
-    def _set(self, vertices: tuple, cover: frozenset[frozenset]) -> None:
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "_cover", cover)
 
     @classmethod
     def _from_cover(cls, vertices: Iterable, cover: frozenset[frozenset]) -> "SimplicialComplex":
         out = cls.__new__(cls)
-        out._set(tuple(sorted(set(vertices))), cover)
+        out._set_fields(tuple(sorted(set(vertices))), cover)
         return out
 
     @classmethod
@@ -313,8 +308,7 @@ def unitary_shadow_complex(
     return complex_.without_edges(removed)
 
 
-@dataclass(frozen=True)
-class StableComplexResult:
+class StableComplexResult(Record):
     """Outcome of scanning the thickness filtration for stable homology."""
 
     t_star: int | None

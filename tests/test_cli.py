@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcageom import exports, infogeo, qca
+from qcageom import cli, exports, infogeo, qca, tracereader
 from qcageom.cli import _Outputs, main, parse_qubit_literal
 
 
@@ -410,6 +410,21 @@ class TestSweepCommands:
         deltas = [float(l.split(",")[1]) for l in lines[2:]]
         assert all(d < -1e-6 for d in deltas)
 
+    @pytest.mark.parametrize("samples", [1, -3, cli.MAX_SAMPLES + 1, 10**12])
+    def test_samples_outside_the_range_exit_2(self, tmp_path, capsys, samples):
+        code = run_cli("sweep", "--family", "pure_family", "--samples", samples,
+                       "--out", tmp_path / "s")
+        assert code == 2
+        assert capsys.readouterr().err in ("error: need at least 2 samples\n",
+                                           f"error: more than {cli.MAX_SAMPLES} samples\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_samples_cap_is_inclusive(self, tmp_path, monkeypatch):
+        assert cli.MAX_SAMPLES >= 5001  # the benchmark's count, and the README's 101
+        monkeypatch.setattr(cli, "MAX_SAMPLES", 5)
+        assert run_cli("sweep", "--family", "werner", "--samples", 5, "--out", tmp_path / "a") == 0
+        assert run_cli("sweep", "--family", "werner", "--samples", 6, "--out", tmp_path / "b") == 2
+
     def test_run_has_no_sweep_experiments(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli("run", "--experiment", "werner", "--out", tmp_path / "w2")
@@ -683,7 +698,7 @@ class TestSnapshotReads:
     def decodes(self, monkeypatch) -> list:
         """The layer of each snapshot decoded, in order."""
         seen, reading = [], []
-        getitem, decode = exports._EncodedSnapshots.__getitem__, exports._snapshot_from_b64
+        getitem, decode = tracereader._EncodedSnapshots.__getitem__, tracereader._snapshot_from_b64
 
         def read(snapshots, i):  # texts may repeat, so the read names the layer
             reading[:] = [snapshots.layers[i]]
@@ -693,8 +708,8 @@ class TestSnapshotReads:
             seen.append(reading.pop())  # a decode outside a read fails here
             return decode(text, config)
 
-        monkeypatch.setattr(exports._EncodedSnapshots, "__getitem__", read)
-        monkeypatch.setattr(exports, "_snapshot_from_b64", spy)
+        monkeypatch.setattr(tracereader._EncodedSnapshots, "__getitem__", read)
+        monkeypatch.setattr(tracereader, "_snapshot_from_b64", spy)
         return seen
 
     def test_topology_decodes_no_snapshot(self, tmp_path, pi3_trace, decodes):

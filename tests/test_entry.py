@@ -1,6 +1,7 @@
 """The lazy package namespace and the CLI's BLAS thread setting."""
 from __future__ import annotations
 
+import ast
 import importlib
 import os
 import subprocess
@@ -12,6 +13,8 @@ import pytest
 import qcageom
 
 ROOT = Path(__file__).resolve().parents[1]
+#: The directory that holds the package under test, put first on every child's path.
+PACKAGE_DIR = Path(qcageom.__file__).resolve().parents[1]
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 #: The names the package exported when it imported its modules eagerly.
@@ -35,9 +38,9 @@ EXPORTS = {
 
 
 def child_env(**overrides: str | None) -> dict[str, str]:
-    """This environment with the checkout's `src` on the path; a `None` override unsets."""
+    """This environment with the tested package first on the path; a `None` override unsets."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+        filter(None, [str(PACKAGE_DIR), os.environ.get("PYTHONPATH")])))
     for name, value in overrides.items():
         if value is None:
             env.pop(name, None)
@@ -134,6 +137,67 @@ class TestSweepLoadsNoNumpy:
         pgm = (tmp_path / "s" / "werner.pgm").read_bytes()
         header = b"P5\n11 1\n255\n"
         assert pgm.startswith(header) and len(pgm) == len(header) + 11
+
+
+class TestStartLoadsWhatItRuns:
+    """No start loads `dataclasses`; `inspect` only with numpy; the reader only to read a trace."""
+
+    WATCHED = ("dataclasses", "inspect", "numpy", "qcageom.tracereader")
+
+    @classmethod
+    def loaded(cls, *argv) -> list[str]:
+        """The exit code of `cli.main(argv)` in a fresh interpreter (None: only the import),
+        then the watched modules it loaded."""
+        call = f"main({[str(a) for a in argv]!r})" if argv else "None"
+        out = python(f"import sys; from qcageom.cli import main; code = {call}; "
+                     f"print(code, *(m for m in {cls.WATCHED!r} if m in sys.modules))")
+        return out.splitlines()[-1].split()
+
+    @pytest.fixture(scope="class")
+    def pi3_trace(self, tmp_path_factory) -> Path:
+        from qcageom.cli import main
+
+        out = tmp_path_factory.mktemp("pi3")
+        assert main(["run", "--experiment", "pi3", "--n-sites", "6", "--seed-site", "3",
+                     "--steps", "2", "--out", str(out)]) == 0
+        return out / "trace.json"
+
+    def test_import_of_the_cli(self):
+        assert self.loaded() == ["None"]
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--experiment", "topology", "--n-sites", 8, "--thickness", 3],
+        ["sweep", "--family", "werner", "--samples", 11],
+        ["sweep", "--family", "pure_family", "--samples", 11],
+    ], ids=["run-topology", "sweep-werner", "sweep-pure-family"])
+    def test_commands_without_numpy_or_trace(self, tmp_path, argv):
+        assert self.loaded(*argv, "--out", tmp_path / "o") == ["0"]
+
+    def test_topology_from_a_trace(self, tmp_path, pi3_trace):
+        assert self.loaded("topology", "--trace", pi3_trace, "--i-max", 1,
+                           "--out", tmp_path / "t") == ["0", "qcageom.tracereader"]
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--experiment", "pi3", "--n-sites", 6, "--seed-site", 3, "--steps", 2],
+        ["sweep", "--family", "werner", "--samples", 11, "--pgm"],
+    ], ids=["run-pi3", "sweep-pgm"])
+    def test_numpy_commands_read_no_trace(self, tmp_path, argv):
+        # numpy imports inspect itself
+        assert self.loaded(*argv, "--out", tmp_path / "o") == ["0", "inspect", "numpy"]
+
+    def test_distance_matrix(self, tmp_path, pi3_trace):
+        assert self.loaded("distance-matrix", "--trace", pi3_trace, "--step", 1,
+                           "--out", tmp_path / "d") == ["0", "inspect", "numpy",
+                                                        "qcageom.tracereader"]
+
+    def test_no_module_imports_dataclasses(self):
+        sources = sorted(Path(qcageom.__file__).parent.glob("*.py"))
+        assert len(sources) >= 9
+        for path in sources:
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                         else [node.module] if isinstance(node, ast.ImportFrom) else [])
+                assert "dataclasses" not in names, path.name
 
 
 needs_proc = pytest.mark.skipif(not Path("/proc/self/task").is_dir(),

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcageom import exports
+from qcageom import exports, tracereader
 from qcageom.infogeo import DistanceField, distance_field, werner_sweep
 from qcageom.qca import (
     KET_PLUS,
@@ -407,8 +407,8 @@ class TestReaderEquivalence:
             file = _alter_bytes(data.draw, file)
         path = tmp_path_factory.mktemp("trace") / "t.json"
         path.write_bytes(file)
-        scan_bytes = data.draw(st.sampled_from([1, 2, 3, 7, 64, exports._SCAN_BYTES]))
-        with mock.patch.object(exports, "_SCAN_BYTES", scan_bytes):  # pieces end anywhere
+        scan_bytes = data.draw(st.sampled_from([1, 2, 3, 7, 64, tracereader._SCAN_BYTES]))
+        with mock.patch.object(tracereader, "_SCAN_BYTES", scan_bytes):  # pieces end anywhere
             got = _outcome(exports.load_trace, path)
         assert got == _outcome(_oracle_load, path)
 
