@@ -44,6 +44,10 @@ FIDELITY_TOL = 1e-9
 #: The most `sweep --samples`: a grid step of 1e-5.  The grid and both
 #: curves are held in memory, so a larger count is refused before any is built.
 MAX_SAMPLES = 100_001
+#: The most global steps of `run` pi3 or topology, 16 times the N=16
+#: default.  pi3 holds every snapshot, about 2 MB a step at N=16, so a
+#: larger count is refused before any schedule is built.
+MAX_STEPS = 256
 
 
 class _Outputs:
@@ -198,11 +202,14 @@ def _check_run_options(args) -> None:
 
 def _cmd_run(args, out: _Outputs) -> int:
     _check_run_options(args)
+    if args.experiment == "topology" and args.steps is None:
+        args.steps = max(args.thickness, 4)
+    if args.steps is not None and args.steps > MAX_STEPS:
+        raise ValueError(f"more than {MAX_STEPS} global steps")
     if args.experiment == "topology":
-        steps = args.steps if args.steps is not None else max(args.thickness, 4)
         # The poset needs only the layers: every snapshot would be the same
         # all-|0> fixed point, and `topology --trace` reads none.
-        trace = qca.run(qca.QcaConfig(n_sites=args.n_sites, rule=qca.PULSE_RULE), steps,
+        trace = qca.run(qca.QcaConfig(n_sites=args.n_sites, rule=qca.PULSE_RULE), args.steps,
                         snapshots=False)
         _maybe_save_trace(out, trace, args)
         return _emit_topology(out, trace, slice_layer=0, i_max=args.thickness,

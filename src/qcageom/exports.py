@@ -180,13 +180,25 @@ def trace_from_json_obj(obj: dict) -> RunTrace:
     return tracereader.trace_from_json_obj(obj)
 
 
+#: What `save_trace` writes after the rest of the object, whose closing
+#: "\n}\n" it leaves off: "snapshots" sorts after every other key.
+_SNAPSHOTS_OPEN = b',\n  "snapshots": ['
+
+
+def _snapshot_frame(k: int, n: int, layer: int) -> tuple[bytes, bytes]:
+    """The bytes `save_trace` writes before and after the base64 text of snapshot k of n."""
+    lead = (_SNAPSHOTS_OPEN + b"\n" if k == 0 else b",\n") + b'    {\n      "amplitudes_b64": "'
+    tail = b'",\n      "layer": %d\n    }' % layer + (b"\n  ]\n}\n" if k == n - 1 else b"")
+    return lead, tail
+
+
 def save_trace(path: Path, trace: RunTrace) -> None:
     """Write `json_dumps(trace_to_json_obj(trace))` to `path`.
 
     The snapshots are written one at a time, each base64 string straight
-    to the file, so at most one snapshot's encoding is held at once.
-    "snapshots" sorts after every other key, so the rest of the object is
-    dumped first, with its closing brace left off.
+    to the file, so at most one snapshot's encoding is held at once.  The
+    rest of the object is dumped first, and `_snapshot_frame` lays out the
+    snapshots; `tracereader` reads a file so laid out without parsing them.
     """
     head = json_dumps(trace_to_json_obj(trace.replace(snapshots=())))
     with open(path, "wb") as fh:
@@ -194,13 +206,9 @@ def save_trace(path: Path, trace: RunTrace) -> None:
             fh.write(head.encode("ascii"))
             return
         fh.write(head[:-3].encode("ascii"))  # drop "\n}\n"
-        fh.write(b',\n  "snapshots": [')
-        sep = b"\n"
-        for idx, state in trace.snapshots:
-            fh.write(sep + b'    {\n      "amplitudes_b64": "')
+        n = len(trace.snapshots)
+        for k, (idx, state) in enumerate(trace.snapshots):
+            lead, tail = _snapshot_frame(k, n, idx)
+            fh.write(lead)
             fh.write(_amplitudes_b64(state))
-            fh.write(b'",\n      "layer": %d\n    }' % idx)
-            sep = b",\n"
-        fh.write(b"\n  ]\n}\n")
-
-
+            fh.write(tail)

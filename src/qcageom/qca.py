@@ -334,11 +334,12 @@ class RunTrace(Record, eq=False):
     granularity: str
     layers: tuple[LayerRecord, ...]
     #: (layer index, state after that layer), in layer order.  `run` builds
-    #: a tuple.  A trace loaded by `exports` holds a read-only sequence that
-    #: reads, decodes and checks an entry each time it is indexed, sliced
-    #: (a slice is a tuple) or iterated, and that names the layers it holds
-    #: in its `layers` attribute.  Its base64 is read from the trace file,
-    #: which stays open while the sequence lives.
+    #: a tuple.  A trace loaded by `tracereader` holds a read-only sequence
+    #: that decodes and checks an entry each time it is indexed, sliced (a
+    #: slice is a tuple) or iterated, and that names the layers it holds in
+    #: its `layers` attribute.  For a file laid out as `save_trace` writes
+    #: it, the base64 is read from the file, which stays open while the
+    #: sequence lives; for any other layout it is held in memory.
     snapshots: Sequence[tuple[int, StateVector]]
 
     @property

@@ -12,12 +12,14 @@ decodes it again: the base64 itself, finiteness and the norm are checked
 then.  So `topology --trace` reads no amplitudes, and `distance-matrix`
 reads one snapshot.
 
-`load_trace` is the one reader.  It scans the file once, in bounded
-pieces, and parses everything but the snapshots' base64 with `json`; a
-base64 string of only base64 bytes stays in the open file as a span, so
-memory follows the snapshots read, not the file.  Each byte of such a
-string is still checked at load, and the file's values and errors,
-positions included, are those of `json.loads` on the whole text.
+`load_trace` reads a file in one of two ways.  A file laid out as
+`exports.save_trace` writes it is checked against that layout: its head,
+everything before the snapshots, is parsed with `json`, and that fixes
+every later byte but the base64 texts, which must hold only base64
+bytes.  Those texts stay in the open file as spans, so memory follows
+the snapshots read, not the file.  Any other file is parsed whole by
+`json`, so a valid trace laid out otherwise loads the same, and every
+error, with its position, is `json`'s.
 
 Only the snapshot decoding loads numpy, so a trace is loaded, and its
 gate records read, without it.  `exports.load_trace` and
@@ -26,7 +28,6 @@ gate records read, without it.  `exports.load_trace` and
 from __future__ import annotations
 
 import base64
-import bisect
 import json
 import os
 import shutil
@@ -37,7 +38,7 @@ from collections.abc import Sequence
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .exports import TRACE_FORMAT, _layer_json
+from .exports import _SNAPSHOTS_OPEN, TRACE_FORMAT, _layer_json, _snapshot_frame
 from .qca import (IDENTITY_2, MAX_QUBITS, Matrix2, QcaConfig, RunTrace, UpdateRule,
                   _layer_records, _phase_layer, _snapshot_layers, _species_layers)
 
@@ -79,9 +80,6 @@ class _Span:
 
     def __init__(self, offset: int, size: int):
         self.offset, self.size = offset, size
-
-    def __len__(self) -> int:  # its characters are its bytes
-        return self.size
 
 
 class _TraceFile:
@@ -149,16 +147,12 @@ class _EncodedSnapshots(Sequence):
 
 def trace_from_json_obj(obj: dict) -> RunTrace:
     """Rebuild a trace; any malformed input raises ValueError."""
-    return _trace_from_obj(obj, None)
-
-
-def _trace_from_obj(obj, source: _TraceFile | None) -> RunTrace:
     fmt = obj.get("format") if isinstance(obj, dict) else None
     if fmt != TRACE_FORMAT:
         found = f"format {fmt!r:.40}" if isinstance(fmt, str) else "no format string"
         raise ValueError(f"not a qcageom trace file: {found}, expected {TRACE_FORMAT!r}")
     try:
-        return _trace_from_fields(obj, source)
+        return _trace_from_fields(obj)
     except KeyError as exc:
         raise ValueError(f"malformed trace: missing key {exc}") from None
     except (TypeError, AttributeError, IndexError) as exc:
@@ -173,13 +167,18 @@ def _int(value, what: str, lo: int, hi: int) -> int:
     return value
 
 
+def _b64_len(n_sites: int) -> int:
+    """The length of a snapshot's base64 text: 2^N complex128."""
+    return 4 * -(-(16 << n_sites) // 3)
+
+
 def _same_json(found, want) -> bool:
     """Whether parsed JSON `found` is `want`, with `true` and `1.0` not `1` as `==` has them;
     `==` goes first as it stops at `want`'s shallow depth, so no deep junk is dumped."""
     return found == want and json.dumps(found, sort_keys=True) == json.dumps(want, sort_keys=True)
 
 
-def _trace_from_fields(obj: dict, source: _TraceFile | None) -> RunTrace:
+def _trace_from_fields(obj: dict) -> RunTrace:
     rcfg = obj["config"]
     unitaries = [_matrix_from_pairs(p) for p in rcfg["rule"]["unitaries"]]
     rule = UpdateRule(*unitaries, name=rcfg["rule"]["name"])
@@ -208,203 +207,90 @@ def _trace_from_fields(obj: dict, source: _TraceFile | None) -> RunTrace:
     if "snapshots" in obj and not _same_json(at, kept):  # written only when there are some
         raise ValueError(f"malformed trace: a {granularity} trace has its snapshots "
                          f'at layers {kept}, or no "snapshots" key')
-    b64_len = 4 * -(-(16 << n) // 3)  # 2^N complex128
+    b64_len = _b64_len(n)
     entries = [(layer, s["amplitudes_b64"]) for layer, s in zip(kept, snaps)]
     for layer, text in entries:
-        if not isinstance(text, (str, _Span)) or len(text) != b64_len:
+        if not isinstance(text, str) or len(text) != b64_len:
             raise ValueError(f"malformed trace: amplitudes of the snapshot at layer {layer} "
                              f"are not {b64_len} characters of base64")
-    snapshots = _EncodedSnapshots(entries, config, source) if entries else ()
+    snapshots = _EncodedSnapshots(entries, config, None) if entries else ()
     return RunTrace(config=config, granularity=granularity, layers=layers, snapshots=snapshots)
 
 
-#: The base64 alphabet.  An `amplitudes_b64` string of only these bytes
-#: holds no escape, control or non-ASCII byte: its characters are its bytes.
+#: The base64 alphabet.  A base64 text of only these bytes holds no
+#: quote, escape, control or non-ASCII byte: its characters are its bytes.
 _BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/="
-_WHITESPACE = b" \t\n\r"  # JSON's
-_AMP_KEY = "amplitudes_b64"
-_AMP_KEY_BYTES = _AMP_KEY.encode()
-_KEY_BYTES = 6 * len(_AMP_KEY)  # the key with every character a \uXXXX escape
 _SCAN_BYTES = 1 << 16
 
 
-class _Skeleton:
-    """The text of a trace file with some strings replaced, and the map back to the file.
+def _written_trace(source: _TraceFile) -> RunTrace | None:
+    """The trace of a file laid out as `save_trace` writes it, its base64 left in the file.
 
-    Bytes are kept until a replacement, then decoded as text mode decodes a
-    file (UTF-8, universal newlines).  `file_position` maps a position in
-    the text back to the file's text, outside the replacements.
+    The head, everything before the first `exports._SNAPSHOTS_OPEN`, is
+    closed and parsed and checked as a trace.  That fixes N and the
+    snapshot layers, and so every byte after it but the base64 texts,
+    which must hold only base64 bytes.  So the file's JSON value is the
+    head's with those snapshots, as `json` parses it (a "snapshots" key
+    in the head is overridden, as `json` keeps the last).  None if the
+    file is laid out otherwise.
     """
-
-    def __init__(self):
-        self.parts, self.chars = [], 0
-        self.kept, self.kept_at = bytearray(), 0  # undecoded bytes and their offset
-        self.breaks, self.shifts = [0], [0]  # from text position breaks[k], add shifts[k]
-
-    def flush(self) -> None:
-        try:
-            text = self.kept.decode("utf-8")
-        except UnicodeDecodeError as exc:  # the message of a whole-file decode
-            at, bad = self.kept_at + exc.start, exc.object[exc.start:exc.end]
-            where = (f"byte 0x{bad[0]:02x} in position {at}" if len(bad) == 1
-                     else f"bytes in position {at}-{at + len(bad) - 1}")
-            raise ValueError(f"'utf-8' codec can't decode {where}: {exc.reason}") from None
-        if "\r" in text:
-            text = text.replace("\r\n", "\n").replace("\r", "\n")
-        self.parts.append(text)
-        self.chars += len(text)
-        self.kept_at += len(self.kept)
-        self.kept.clear()
-
-    def replace(self, text: str, file_chars: int, resume_at: int) -> None:
-        """Write `text` for `file_chars` characters of the file; keep bytes from `resume_at`."""
-        self.flush()
-        self.parts.append(text)
-        self.chars += len(text)
-        self.breaks.append(self.chars)
-        self.shifts.append(self.shifts[-1] + file_chars - len(text))
-        self.kept_at = resume_at
-
-    def file_position(self, pos: int) -> int:
-        return pos + self.shifts[bisect.bisect_right(self.breaks, pos) - 1]
-
-
-def _is_amp_key(raw: bytearray) -> bool:
-    """Whether the bytes of a string, escapes read, are the key of a snapshot's base64."""
-    if raw == _AMP_KEY_BYTES:
-        return True
+    fd, head, start = source.fh.fileno(), bytearray(), 0
+    while (at := head.find(_SNAPSHOTS_OPEN, start)) < 0:
+        size, start = len(head), max(len(head) - len(_SNAPSHOTS_OPEN) + 1, 0)
+        head += os.pread(fd, _SCAN_BYTES, size)
+        if len(head) == size:
+            return None
+    del head[at:]
     try:
-        return b"\\" in raw and json.loads(b'"' + raw + b'"') == _AMP_KEY
-    except ValueError:
-        return False
-
-
-def _skeleton(source: _TraceFile) -> tuple[_Skeleton, list[_Span]]:
-    """One pass over the file, in `_SCAN_BYTES` pieces, that finds every string.
-
-    An `amplitudes_b64` string value of only base64 bytes is cut: its index
-    in the returned spans stands in its place.  Any other such string is
-    kept, marked with a leading \\u0000.  Every other byte is kept as it is.
-    """
-    sk, spans, fd = _Skeleton(), [], source.fh.fileno()
-    in_string = escape = amp_key = False
-    cut_at = None  # the offset of a cut string's content, while in one
-    key = None  # the bytes of a kept string, while it could be the key
-    gap, off = b"", 0  # the first 2 non-whitespace bytes after the last string
-    while data := source.fh.read(_SCAN_BYTES):
-        i, n = 0, len(data)
-        while i < n:
-            if not (in_string or amp_key):
-                # Before the next backslash or key text, each quote opens or
-                # closes a string that is not the key: keep them in one piece.
-                stop = min(j for j in (data.find(b"\\", i), data.find(_AMP_KEY_BYTES, i), n)
-                           if j >= 0)
-                if stop > i:
-                    sk.kept += data[i:stop]
-                    if data.count(b'"', i, stop) % 2:  # a string is open at `stop`
-                        q = data.rfind(b'"', i, stop)
-                        in_string, gap = True, b""
-                        key = bytearray(data[q + 1:stop]) if stop - q - 1 <= _KEY_BYTES else None
-                    i = stop
-                    continue
-            if not in_string:
-                q = data.find(b'"', i)
-                end = n if q < 0 else q
-                sk.kept += data[i:end + 1]
-                gap = (gap + data[i:end].translate(None, _WHITESPACE))[:2]
-                i = end + 1
-                if q >= 0:
-                    in_string = True
-                    if amp_key and gap == b":":
-                        cut_at, key = off + i, None
-                    else:
-                        key = bytearray()
-                    gap, amp_key = b"", False
-            elif cut_at is not None:
-                q = data.find(b'"', i)
-                end = n if q < 0 else q
-                if data[i:end].translate(None, _BASE64):
-                    sk.replace("\\u0000", 0, cut_at)  # kept, and marked
-                    sk.kept += os.pread(fd, off + i - cut_at, cut_at)
-                    cut_at = None
-                    continue
-                i = end
-                if q >= 0:
-                    spans.append(_Span(cut_at, off + q - cut_at))
-                    sk.replace(str(len(spans) - 1), off + q - cut_at, off + q)
-                    sk.kept += b'"'
-                    i, in_string, cut_at = q + 1, False, None
-            elif escape:
-                sk.kept += data[i:i + 1]
-                if key is not None:
-                    key += data[i:i + 1]
-                i, escape = i + 1, False
-            else:
-                q = data.find(b'"', i)
-                b = data.find(b"\\", i, n if q < 0 else q)
-                end = b + 1 if b >= 0 else n if q < 0 else q
-                sk.kept += data[i:end]
-                if key is not None:
-                    key = key + data[i:end] if len(key) + end - i <= _KEY_BYTES else None
-                i = end
-                if b >= 0:
-                    escape = True
-                elif q >= 0:
-                    sk.kept += b'"'
-                    i, in_string = q + 1, False
-                    amp_key = key is not None and _is_amp_key(key)
-        off += n
-    sk.flush()
-    return sk, spans
-
-
-def _parse(source: _TraceFile):
-    """The JSON value of a trace file, each snapshot's base64 a `_Span` of the file.
-
-    Errors are those of `json.loads(path.read_text(encoding="utf-8"))`.
-    """
-    sk, spans = _skeleton(source)
-    found = []
-
-    def hook(pairs):
-        obj = dict(pairs)
-        text = obj.get(_AMP_KEY)
-        if type(text) is str:  # a cut string's index, or a kept string marked
-            obj[_AMP_KEY] = text[1:] if text.startswith("\0") else spans[int(text)]
-            found.append(obj)
-        return obj
-
-    try:
-        obj = json.loads("".join(sk.parts), object_pairs_hook=hook)
-    except json.JSONDecodeError as exc:
-        at, nl = sk.file_position(exc.pos), exc.doc.rfind("\n", 0, exc.pos)
-        column = at - (sk.file_position(nl) if nl >= 0 else -1)
-        raise ValueError(f"{exc.msg}: line {exc.lineno} column {column} (char {at})") from None
-    except RecursionError:
-        raise ValueError("malformed trace: JSON nested too deeply to parse") from None
-    snaps = obj.get("snapshots") if type(obj) is dict else None
-    entries = {id(s) for s in snaps} if type(snaps) is list else set()
-    for d in found:  # a span outside the snapshots is read, as any other string
-        if id(d) not in entries and type(d[_AMP_KEY]) is _Span:
-            d[_AMP_KEY] = source.read(d[_AMP_KEY]).decode("ascii")
-    return obj
+        text = head.decode("utf-8") + "\n}\n"
+        del head  # not held while `json` parses
+        trace = trace_from_json_obj(json.loads(text))
+    except (ValueError, RecursionError):
+        return None
+    layers = _snapshot_layers(trace.layers, trace.granularity)
+    frames = [_snapshot_frame(k, len(layers), layer) for k, layer in enumerate(layers)]
+    b64_len = _b64_len(trace.config.n_sites)
+    if os.fstat(fd).st_size != at + sum(len(a) + b64_len + len(b) for a, b in frames):
+        return None
+    entries = []
+    for layer, (lead, tail) in zip(layers, frames):
+        if os.pread(fd, len(lead), at) != lead:
+            return None
+        at += len(lead)
+        for off in range(at, at + b64_len, _SCAN_BYTES):
+            if os.pread(fd, min(_SCAN_BYTES, at + b64_len - off), off).translate(None, _BASE64):
+                return None
+        entries.append((layer, _Span(at, b64_len)))
+        at += b64_len
+        if os.pread(fd, len(tail), at) != tail:
+            return None
+        at += len(tail)
+    return trace.replace(snapshots=_EncodedSnapshots(entries, trace.config, source))
 
 
 def load_trace(path: Path) -> RunTrace:
     """Read a trace file; an unreadable or malformed file raises ValueError.
 
-    Only the snapshots' base64 is left in the file, to be read when a
-    snapshot is read, so memory follows the snapshots read, not the file.
+    A file laid out as `save_trace` writes it leaves its snapshots' base64
+    in the file, to be read when a snapshot is read, so memory follows the
+    snapshots read, not the file.  Any other file is parsed whole by
+    `json`, as `read_text` decodes it, so every error is `json`'s.
     """
     try:
         source = _TraceFile(path)
     except OSError as exc:
         raise ValueError(f"cannot read trace {str(path)!r}: {exc.strerror}") from None
     try:
-        trace = _trace_from_obj(_parse(source), source)
+        trace = _written_trace(source)
     except BaseException:
         source.fh.close()
         raise
-    if not trace.snapshots:  # else the snapshots close it when they are gone
-        source.fh.close()
-    return trace
+    if trace is not None:
+        return trace  # its snapshots close the file when they are gone
+    with source.fh:
+        text = source.fh.read().decode("utf-8")
+    try:
+        obj = json.loads(text.replace("\r\n", "\n").replace("\r", "\n"))
+    except RecursionError:
+        raise ValueError("malformed trace: JSON nested too deeply to parse") from None
+    return trace_from_json_obj(obj)

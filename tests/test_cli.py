@@ -214,6 +214,20 @@ class TestRunOptions:
                                            f"{experiment} experiment with --no-save-trace\n")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["--experiment", "pi3", "--seed-site", 2, "--steps"],
+        ["--experiment", "topology", "--steps"],
+        ["--experiment", "topology", "--thickness"],  # runs max(thickness, 4) steps
+    ], ids=["pi3", "topology", "topology-thickness"])
+    def test_steps_cap_is_inclusive(self, tmp_path, capsys, monkeypatch, argv):
+        assert cli.MAX_STEPS >= qca.MAX_QUBITS  # pi3 runs N steps by default
+        monkeypatch.setattr(cli, "MAX_STEPS", 5)
+        assert run_cli("run", "--n-sites", 4, *argv, 5, "--out", tmp_path / "a") == 0
+        capsys.readouterr()
+        assert run_cli("run", "--n-sites", 4, *argv, 6, "--out", tmp_path / "b") == 2
+        assert capsys.readouterr().err == "error: more than 5 global steps\n"
+        assert not (tmp_path / "b").exists()
+
     def test_misspecified_ghz_exit_2(self, tmp_path, capsys):
         code = run_cli("run", "--experiment", "ghz", "--n-sites", 4, "--psi", "nan,0",
                        "--seed-site", 99, "--out", tmp_path / "o")

@@ -359,7 +359,17 @@ def _alter_bytes(draw, data: bytes) -> bytes:
     """One change to the text: inside a base64 string, to its keys, or to the whole file."""
     strings = [m.span(1) for m in re.finditer(rb'"amplitudes_b64":\s*"([^"]*)"', data)]
     how = draw(st.sampled_from(["escape", "bad escape", "control", "non-ASCII", "truncate",
-                                "two snapshots keys", "escaped key", "BOM", "CRLF"]))
+                                "two snapshots keys", "escaped key", "BOM", "CRLF",
+                                "replace byte", "insert byte", "delete byte", "trailing bytes"]))
+    if how in ("replace byte", "insert byte", "delete byte") and data:
+        # anywhere, or around a base64 string, where every byte is the writer's layout
+        lo, hi = draw(st.sampled_from([(0, len(data))] + [(a - 40, b + 30) for a, b in strings]))
+        i = draw(st.integers(max(lo, 0), min(hi, len(data)) - 1))
+        byte = bytes([draw(st.one_of(st.sampled_from(b' \n"A/0,:]}'), st.integers(0, 255)))])
+        new = {"replace byte": byte, "insert byte": byte + data[i:i + 1], "delete byte": b""}[how]
+        return data[:i] + new + data[i + 1:]
+    if how == "trailing bytes":  # whitespace, which json skips, or extra data
+        return data + draw(st.sampled_from([b" ", b"\n", b"\r\n", b"\t \n", b"0", b"{}"]))
     if how in ("escape", "bad escape", "control", "non-ASCII") and strings:
         start, end = draw(st.sampled_from(strings))
         if start == end:
@@ -531,6 +541,41 @@ class TestWrittenTracesLoad:
         assert back.layers == trace.layers
         assert back.granularity == trace.granularity
         assert [l for l, _ in back.snapshots] == [l for l, _ in trace.snapshots]
+
+    @settings(deadline=None)
+    @given(_WRITTEN_TRACES)
+    def test_written_file_keeps_its_snapshots_in_the_file(self, tmp_path_factory, trace):
+        """The reader's memory contract, per file: no written snapshot is read at load."""
+        path = tmp_path_factory.mktemp("trace") / "t.json"
+        exports.save_trace(path, trace)
+        back = exports.load_trace(path)
+        if trace.snapshots:
+            assert [type(t) for t in back.snapshots._texts] == \
+                [tracereader._Span] * len(trace.snapshots)
+        exports.save_trace(path.with_name("u.json"), back)
+        assert path.with_name("u.json").read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("new, cut", [(b"", 1), (b"7", 1), (b"x", 1), (b" ", 0), (b"0", 0)],
+                             ids=["delete", "digit", "letter", "insert space", "insert digit"])
+    def test_each_layout_byte_is_checked(self, tmp_path, new, cut):
+        """One byte of the snapshots' layout changed: the file loads as `json` loads it."""
+        exports.save_trace(tmp_path / "t.json", pi3_experiment(2, 1, 1))
+        text, path = (tmp_path / "t.json").read_bytes(), tmp_path / "u.json"
+        b64 = {i for m in re.finditer(rb'"amplitudes_b64": "([^"]*)"', text)
+               for i in range(*m.span(1))}
+        for i in range(text.index(b'"snapshots"') - 4, len(text) + 1):
+            if i not in b64:
+                path.write_bytes(text[:i] + new + text[i + cut:])
+                assert _outcome(exports.load_trace, path) == _outcome(_oracle_load, path), i
+
+    def test_other_layout_loads_through_json(self, tmp_path):
+        exports.save_trace(tmp_path / "t.json", pi3_experiment(6, 3))
+        text = (tmp_path / "t.json").read_bytes()
+        (tmp_path / "u.json").write_bytes(text.replace(b'"layer": 3', b'"layer":3'))
+        back = exports.load_trace(tmp_path / "u.json")
+        assert all(type(t) is str for t in back.snapshots._texts)
+        assert _outcome(exports.load_trace, tmp_path / "u.json") == \
+            _outcome(exports.load_trace, tmp_path / "t.json")
 
 
 class TestDeterminism:
