@@ -18,12 +18,9 @@ _EXPORTS = {
         "apply_unitary",
         "basis_state",
         "fidelity",
-        "hermitian_eigenvalues",
         "partial_trace",
         "ppt_separable_2q",
         "product_state",
-        "pure_density",
-        "tensor",
         "von_neumann_entropy",
     ), "statealg"),
     **dict.fromkeys((
@@ -32,7 +29,6 @@ _EXPORTS = {
         "block_structure_report",
         "distance_field",
         "info_distance",
-        "mutual_information",
         "pure_family_sweep",
         "site_entropies",
         "werner_null_crossing",
@@ -46,13 +42,11 @@ _EXPORTS = {
         "RunTrace",
         "UpdateRule",
         "ghz_experiment",
-        "global_update",
         "initial_state",
         "occupation_probabilities",
         "pi3_experiment",
         "propagate_experiment",
         "run",
-        "species_update",
         "x_pulse_rule",
     ), "qca"),
     **dict.fromkeys((

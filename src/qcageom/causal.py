@@ -129,12 +129,6 @@ class CausalPoset:
         """All y with node <= y, including node itself."""
         return self._unpack(self._desc[self._require(node)])
 
-    # Cone aliases in the source convention where J+(x) = {y | y <= x}
-    # collects the nodes feeding x and J-(x) = {y | x <= y} the nodes fed
-    # by it.  ancestors/descendants are the unambiguous names.
-    future_cone = ancestors
-    past_cone = descendants
-
     def covers(self) -> list[tuple[Node, Node]]:
         return [
             (self.nodes[i], self.nodes[j])

@@ -9,11 +9,12 @@ block reports, save the trace, and only then check the fidelity, so a
 failed check discards every written file.
 
 Exit codes: 0 on success; 2 on a bad experiment spec (a non-finite or
-zero --psi, or an option the experiment does not read, among them) or an
---out that cannot be created or written; 3 when a numerical invariant
-fails mid-run.  Each file is written under a temporary name and renamed
-into place; on failure the temporaries, the written files and the
-directories the run created are removed.
+zero --psi, or an option the experiment does not read, among them), an
+--out that cannot be created or written, or running out of memory; 3
+when a numerical invariant fails mid-run.  Each file is written under a
+temporary name, and all are renamed into place once the command has
+succeeded; on any failure, an interrupt included, the temporaries and
+the directories the command created are removed.
 
 `infogeo`, `causal` and `topo` are imported by the commands that use
 them, the trace reader only by `distance-matrix` and `topology`, through
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import itertools
 import os
 import sys
@@ -51,17 +53,18 @@ MAX_STEPS = 256
 
 
 class _Outputs:
-    """Writes the files of one run so that a failed run leaves nothing behind.
+    """Writes the files of one command so that a failed command leaves nothing behind.
 
-    Each file is written under a temporary name in the out dir and renamed
-    into place once complete, so a final name never holds a partial file.
-    `discard` removes the temporaries, the files put in place, and the
-    directories that `__init__` created, never one that already existed.
+    Each file is written under a temporary name in the out dir. `commit`
+    renames them all into place once the command has succeeded, so a final
+    name never holds a partial file, and a file already there is replaced
+    only by a command that succeeded. `discard` removes the temporaries and
+    the directories that `__init__` created, never one that already existed.
     """
 
     def __init__(self, out_dir: Path):
         self.dir = Path(out_dir)
-        self.paths: list[Path] = []
+        self.pending: list[tuple[Path, Path]] = []  # (temporary, final name)
         self.created = list(itertools.takewhile(lambda p: not p.exists(),
                                                 (self.dir, *self.dir.parents)))
         try:
@@ -71,14 +74,12 @@ class _Outputs:
             raise
 
     def write(self, name: str, writer, *args):
-        """Call `writer(temporary path, *args)`, move the file to `name`; return the result."""
+        """Call `writer(temporary path, *args)` and return its result; `commit` names the file."""
         path = self.dir / name
+        _check_not_a_directory(path)
         tmp = path.with_name(f".{name}.tmp")
-        self.paths.append(tmp)  # recorded before it is opened
-        result = writer(tmp, *args)
-        os.replace(tmp, path)
-        self.paths.append(path)
-        return result
+        self.pending.append((tmp, path))  # recorded before it is opened
+        return writer(tmp, *args)
 
     def write_text(self, name: str, text: str) -> None:
         self.write(name, Path.write_text, text)
@@ -90,13 +91,26 @@ class _Outputs:
         scale = self.write(name, exports.write_pgm, matrix)
         self.write_json(name.replace(".pgm", ".scale.json"), scale)
 
+    def commit(self) -> None:
+        """Rename every file into place, after checking that no final name is a directory."""
+        for _, path in self.pending:
+            _check_not_a_directory(path)
+        for tmp, path in self.pending:
+            os.replace(tmp, path)
+        self.pending.clear()
+
     def discard(self) -> None:
-        for path in self.paths:
+        for tmp, _ in self.pending:
             with contextlib.suppress(OSError):
-                path.unlink()
+                tmp.unlink()
         for directory in self.created:  # deepest first; a non-empty one stays
             with contextlib.suppress(OSError):
                 directory.rmdir()
+
+
+def _check_not_a_directory(path: Path) -> None:
+    if path.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
 
 
 def parse_qubit_literal(text: str) -> np.ndarray:
@@ -383,19 +397,29 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    out = None
     try:
-        out = _Outputs(args.out)
-        return args.func(args, out)
+        return _run(args)
     except InvariantError as exc:
-        out.discard()
         print(f"numerical invariant violated: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:
-        if out is not None:  # None: --out itself could not be made a directory
-            out.discard()
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
+
+
+def _run(args) -> int:
+    """Run the command into its out dir; on any exception, discard the outputs and re-raise."""
+    out = _Outputs(args.out)  # on failure it has removed what it made
+    try:
+        code = args.func(args, out)
+        out.commit()
+    except BaseException:
+        out.discard()
+        raise
+    return code
 
 
 if __name__ == "__main__":

@@ -75,12 +75,6 @@ def info_distance(joint: DensityMatrix, part_a: Iterable[int], part_b: Iterable[
     return 2.0 * s_ab - _reduced_entropy(joint, a) - _reduced_entropy(joint, b)
 
 
-def mutual_information(joint: DensityMatrix, part_a: Iterable[int], part_b: Iterable[int]) -> float:
-    """S(A) + S(B) - S(AB) in bits."""
-    a, b = _parts(joint, part_a, part_b)
-    return _reduced_entropy(joint, a) + _reduced_entropy(joint, b) - _reduced_entropy(joint, a | b)
-
-
 def _block_positions(group: tuple[int, ...], n: int) -> tuple[int, ...]:
     """Register positions of the block that `group` (sorted positions) is read from.
 
@@ -212,14 +206,6 @@ class DistanceField(Record, eq=False):
 
     def value(self, a: int, b: int) -> float:
         return float(self.values[self.labels.index(a), self.labels.index(b)])
-
-    def computed_pairs(self) -> list[tuple[int, int]]:
-        out = []
-        for i in range(len(self.labels)):
-            for j in range(i + 1, len(self.labels)):
-                if not math.isnan(self.values[i, j]):
-                    out.append((self.labels[i], self.labels[j]))
-        return out
 
 
 def _select_pairs(labels: tuple[int, ...], pairs) -> list[tuple[int, int]]:
@@ -411,11 +397,12 @@ def _werner_delta(z: float) -> float:
 
 
 def _pure_family_delta(z: float) -> float:
-    """delta of `pure_family_state(z)`: the state is pure, so S(AB) = 0 and S(B) = S(A).
+    """delta of the pure state (sqrt(1-z)|00> + sqrt(z)(|01>+|10>)) / sqrt(1+z).
 
-    The marginal has eigenvalues (1 +- sqrt((1-z)(1+3z))/(1+z))/2.  The
-    smaller one is taken as det / larger, det = (z/(1+z))^2, and the
-    larger one's log as log1p(-smaller), so nothing cancels near z = 0.
+    S(AB) = 0 and S(B) = S(A).  The marginal has eigenvalues
+    (1 +- sqrt((1-z)(1+3z))/(1+z))/2.  The smaller one is taken as det /
+    larger, det = (z/(1+z))^2, and the larger one's log as log1p(-smaller),
+    so nothing cancels near z = 0.
     """
     big = (1.0 + math.sqrt((1.0 - z) * (1.0 + 3.0 * z)) / (1.0 + z)) / 2.0
     small = (z / (1.0 + z)) ** 2 / big
@@ -433,22 +420,6 @@ def werner_state(z: float) -> DensityMatrix:
     bell_plus = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
     rho = (1.0 - z) * np.eye(4, dtype=complex) / 4.0 + z * np.outer(bell_plus, bell_plus.conj())
     return DensityMatrix(rho, (0, 1))
-
-
-def pure_family_state(z: float) -> StateVector:
-    """sqrt(1-z)|00> + sqrt(z)(|01>+|10>), normalized by 1/sqrt(1+z).
-
-    The raw two-parameter family has squared norm 1+z; the stated
-    properties (zero distance only at z=0, negative elsewhere) hold for
-    the normalized family, so normalization is applied here.
-    """
-    import numpy as np
-
-    from .statealg import StateVector
-
-    z = _check_z(z)
-    amps = np.array([math.sqrt(1.0 - z), math.sqrt(z), math.sqrt(z), 0.0], dtype=complex)
-    return StateVector(amps / math.sqrt(1.0 + z), (0, 1))
 
 
 def werner_sweep(grid: Iterable[float]) -> SweepCurve:

@@ -458,27 +458,13 @@ def initial_state(config: QcaConfig, seeds: dict[int, np.ndarray] | None = None)
     return product_state(qubits, config.register_sites)
 
 
-def species_update(state: StateVector, config: QcaConfig, species: str) -> StateVector:
-    """Apply the site update to every site of one species.
-
-    Same-species gates commute (each gate's controls are only ever other
-    gates' controls, and controls act diagonally), so the state needs no
-    order; the trace format pins the ascending site order used here.
-    """
-    if species not in ("A", "B"):
-        raise ValueError("species must be 'A' or 'B'")
-    if state.labels != config.register_sites:
-        raise ValueError("state labels do not match the register")
-    return _apply_gates(state, config.rule, _species_gates(config, species))
-
-
-def global_update(state: StateVector, config: QcaConfig) -> StateVector:
-    """One global step: the B layer followed by the A layer."""
-    return species_update(species_update(state, config, "B"), config, "A")
-
-
 def _species_layers(config: QcaConfig, species: str) -> list:
-    """One `(species, rule, gates)` layer per letter of `species`; one species, one gate tuple."""
+    """One `(species, rule, gates)` layer per letter of `species`; one species, one gate tuple.
+
+    The gates run in ascending site order, which the trace format pins.
+    Same-species gates commute (controls act diagonally, and no gate
+    targets another's control), so that order does not change the state.
+    """
     gates = {s: _species_gates(config, s) for s in set(species)}
     return [(s, config.rule, gates[s]) for s in species]
 

@@ -157,26 +157,6 @@ def product_state(qubits: Iterable[np.ndarray], labels=None) -> StateVector:
     return StateVector(amps, labels)
 
 
-def pure_density(state: StateVector) -> DensityMatrix:
-    return DensityMatrix(np.outer(state.amplitudes, state.amplitudes.conj()), state.labels)
-
-
-def tensor(a, b):
-    """Tensor product of two StateVectors or two DensityMatrices.
-
-    Labels must be disjoint; the result carries them concatenated.
-    """
-    if isinstance(a, StateVector) and isinstance(b, StateVector):
-        if set(a.labels) & set(b.labels):
-            raise ValueError("tensor factors share qubit labels")
-        return StateVector(np.kron(a.amplitudes, b.amplitudes), a.labels + b.labels)
-    if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
-        if set(a.labels) & set(b.labels):
-            raise ValueError("tensor factors share qubit labels")
-        return DensityMatrix(np.kron(a.matrix, b.matrix), a.labels + b.labels)
-    raise ValueError("tensor requires two StateVectors or two DensityMatrices")
-
-
 def apply_unitary(state: StateVector, u: np.ndarray, targets: Iterable[int]) -> StateVector:
     """Apply a 2^k x 2^k unitary to the ordered target labels of a pure state.
 
@@ -235,15 +215,6 @@ def partial_trace(state, keep: Iterable[int]) -> DensityMatrix:
         rho = rho.reshape(dk, dt, dk, dt)
         return DensityMatrix(np.einsum("atbt->ab", rho), kept_labels)
     raise ValueError("partial_trace requires a StateVector or DensityMatrix")
-
-
-def hermitian_eigenvalues(m: np.ndarray) -> list[float]:
-    """Real spectrum of a Hermitian matrix, descending."""
-    m = np.asarray(m, dtype=complex)
-    if not is_hermitian(m):
-        raise ValueError("matrix is not Hermitian within 1e-10")
-    vals = np.linalg.eigvalsh(m)
-    return [float(v) for v in vals[::-1]]
 
 
 def spectral_entropy(eigenvalues) -> np.ndarray:

@@ -95,9 +95,6 @@ class SimplicialComplex(Record):
     def maximal_simplices(self) -> list[frozenset]:
         return list(self._cover)
 
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** (len(s) - 1) for s in self.simplices)
-
     def without_edges(self, removed: Iterable[tuple]) -> "SimplicialComplex":
         """Drop the given edges and every simplex containing one of them.
 

@@ -121,7 +121,7 @@ class TestCones:
     def test_reflexive_intersection(self):
         poset = build_poset(one_b_layer_n4())
         for node in poset.nodes:
-            assert poset.future_cone(node) & poset.past_cone(node) == {node}
+            assert poset.ancestors(node) & poset.descendants(node) == {node}
 
     def test_against_reachability_oracle(self):
         poset = build_poset(one_b_layer_n4())

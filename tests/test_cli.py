@@ -862,7 +862,7 @@ class TestOutputs:
         with pytest.raises(OSError):
             out.write("x.csv", writer)
         assert seen == [".x.csv.tmp"]
-        assert sorted(p.name for p in (tmp_path / "o").iterdir()) == [".x.csv.tmp", "kept.csv"]
+        assert sorted(p.name for p in (tmp_path / "o").iterdir()) == [".kept.csv.tmp", ".x.csv.tmp"]
         out.discard()
         assert not (tmp_path / "o").exists()
 
@@ -911,6 +911,45 @@ class TestOutputs:
                        "--out", tmp_path / "new" / ("x" * 300))
         assert code == 2
         assert capsys.readouterr().err.startswith("error: [Errno ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_run_keeps_a_file_with_an_output_name(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "trace.json").mkdir(parents=True)
+        (out / "distance_step_0000.csv").write_bytes(b"data\n")
+        code = run_cli("run", "--experiment", "ghz", "--n-sites", 4, "--out", out)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: [Errno ")
+        assert sorted(p.name for p in out.iterdir()) == ["distance_step_0000.csv", "trace.json"]
+        assert (out / "distance_step_0000.csv").read_bytes() == b"data\n"
+        assert list((out / "trace.json").iterdir()) == []
+
+    @staticmethod
+    def fail_at_third_csv(monkeypatch, exc: BaseException) -> None:
+        calls = []
+        write = exports.distance_field_csv
+
+        def failing(field):
+            calls.append(field)
+            if len(calls) == 3:
+                raise exc
+            return write(field)
+
+        monkeypatch.setattr(exports, "distance_field_csv", failing)
+
+    def test_interrupt_leaves_no_out_dir(self, tmp_path, monkeypatch):
+        self.fail_at_third_csv(monkeypatch, KeyboardInterrupt())
+        with pytest.raises(KeyboardInterrupt):
+            run_cli("run", "--experiment", "pi3", "--n-sites", 6, "--seed-site", 3,
+                    "--out", tmp_path / "p")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_of_memory_exit_2(self, tmp_path, capsys, monkeypatch):
+        self.fail_at_third_csv(monkeypatch, MemoryError())
+        code = run_cli("run", "--experiment", "pi3", "--n-sites", 6, "--seed-site", 3,
+                       "--out", tmp_path / "p")
+        assert code == 2
+        assert capsys.readouterr() == ("", "error: out of memory\n")
         assert list(tmp_path.iterdir()) == []
 
     def test_failed_write_exit_2(self, tmp_path, capsys):

@@ -17,19 +17,17 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE_DIR = Path(qcageom.__file__).resolve().parents[1]
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-#: The names the package exported when it imported its modules eagerly.
+#: The names the package exports, by defining module.
 EXPORTS = {
     "statealg": ["DensityMatrix", "InvariantError", "StateVector", "apply_unitary",
-                 "basis_state", "fidelity", "hermitian_eigenvalues", "partial_trace",
-                 "ppt_separable_2q", "product_state", "pure_density", "tensor",
-                 "von_neumann_entropy"],
+                 "basis_state", "fidelity", "partial_trace", "ppt_separable_2q",
+                 "product_state", "von_neumann_entropy"],
     "infogeo": ["DistanceField", "SweepCurve", "block_structure_report", "distance_field",
-                "info_distance", "mutual_information", "pure_family_sweep",
-                "site_entropies", "werner_null_crossing", "werner_state", "werner_sweep"],
+                "info_distance", "pure_family_sweep", "site_entropies",
+                "werner_null_crossing", "werner_state", "werner_sweep"],
     "qca": ["PI3_RULE", "PULSE_RULE", "QcaConfig", "RunTrace", "UpdateRule",
-            "ghz_experiment", "global_update", "initial_state", "occupation_probabilities",
-            "pi3_experiment", "propagate_experiment", "run", "species_update",
-            "x_pulse_rule"],
+            "ghz_experiment", "initial_state", "occupation_probabilities",
+            "pi3_experiment", "propagate_experiment", "run", "x_pulse_rule"],
     "causal": ["AntiChain", "CausalPoset", "Gate", "ThickenedAntiChain", "Wire",
                "build_poset", "foliate", "slice_antichain", "thicken"],
     "topo": ["SimplicialComplex", "betti", "boundary_rank", "shadow_complex",

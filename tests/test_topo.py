@@ -32,6 +32,11 @@ def path_graph(n: int) -> SimplicialComplex:
     return complex_of(*[(i, i + 1) for i in range(n - 1)])
 
 
+def euler_characteristic(cx: SimplicialComplex) -> int:
+    """The alternating count of faces, for the Euler-Poincare check of `betti`."""
+    return sum((-1) ** (len(s) - 1) for s in cx.simplices)
+
+
 # ------------------------------------------------------------ GF(2) oracle
 
 def betti_oracle(cx: SimplicialComplex) -> tuple[int, ...]:
@@ -114,9 +119,9 @@ class TestSimplicialComplex:
         assert maxes == {(0, 1, 2), (2, 3)}
 
     def test_euler(self):
-        assert path_graph(3).euler_characteristic() == 1
+        assert euler_characteristic(path_graph(3)) == 1
         hollow = complex_of((0, 1), (1, 2), (0, 2))
-        assert hollow.euler_characteristic() == 0
+        assert euler_characteristic(hollow) == 0
 
     def test_without_edges_keeps_closure(self):
         cx = complex_of((0, 1, 2))
@@ -171,7 +176,7 @@ class TestBetti:
         for _ in range(20):
             cx = random_complex()
             b = betti(cx)
-            assert cx.euler_characteristic() == sum(
+            assert euler_characteristic(cx) == sum(
                 (-1) ** k * v for k, v in enumerate(b)
             )
 
