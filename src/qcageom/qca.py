@@ -23,7 +23,9 @@ evolve or measure a state, so the topology commands load neither.
 `Record`, defined here with the tolerance and error that every module
 shares, is the base of every record class of the package: the records
 here, the states of `statealg`, the poset nodes of `causal`, the
-complexes of `topo` and the fields of `infogeo`.
+complexes of `topo` and the fields of `infogeo`.  Each record class
+gets one `__init__`, compiled when the class is made, whose parameters
+are its fields.
 """
 from __future__ import annotations
 
@@ -54,21 +56,18 @@ class InvariantError(ValueError):
 class Record:
     """An immutable record whose fields are the annotations of its class body.
 
-    `class Wire(Record)` with `site: int` and `layer: int` is built as
-    `Wire(1, 0)` or `Wire(site=1, layer=0)`; a value after a field's
-    annotation is its default.  A missing, extra or repeated argument is a
-    TypeError.  `__post_init__`, where a class defines one, runs after the
-    fields are set and may reset them with `object.__setattr__`.  Any other
-    assignment or deletion is an AttributeError.  `repr` is
-    `Wire(site=1, layer=0)`.
+    `class Wire(Record)` with `site: int` and `layer: int` gets a compiled
+    `__init__(self, site, layer)`, so Python binds its arguments; a value
+    after a field's annotation is its default.  A field list that is not a
+    parameter list is a TypeError when the class is made.  `__post_init__`,
+    where the class body defines one, runs after the fields are set and may
+    reset them with `object.__setattr__`; any other assignment or deletion
+    is an AttributeError.  `repr` is `Wire(site=1, layer=0)`.
 
     Records of one class are equal when their fields are, and hash as the
-    tuple of their fields, which is taken once, when the record is built;
-    `class R(Record, eq=False)` keeps identity instead.  A class that
-    defines `__init__` sets its fields with `_set_fields`.
-
-    It gives what `dataclass(frozen=True)` gave the package, without the
-    code that `dataclasses` compiles for each class at import.
+    tuple of their fields, taken once, when the record is built; `class
+    R(Record, eq=False)` keeps identity instead.  A class that defines
+    `__init__` sets its fields with `_set_fields`.
     """
 
     _fields: tuple[str, ...] = ()
@@ -110,46 +109,27 @@ class Record:
 
 
 def _record_init(cls: type, eq: bool):
-    """The `__init__` of a record class without one of its own."""
-    fields, set_field = cls._fields, object.__setattr__
-    n, names = len(fields), frozenset(fields)
-    defaults = {f: cls.__dict__[f] for f in fields if f in cls.__dict__}
-    required, tail = n - len(defaults), tuple(defaults.values())
-    if fields[required:] != tuple(defaults):
-        raise TypeError(f"{cls.__qualname__}: a field without a default follows one with it")
-    post_init = cls.__dict__.get("__post_init__")
-
-    def bind(args: tuple, kwargs: dict) -> tuple:
-        """The fields of a call, bound as Python binds `(self, field, ..., field=default)`."""
-        if not kwargs and required <= len(args) < n:
-            return args + tail[len(args) - required:]
-        if len(args) > n:
-            raise TypeError(f"{cls.__qualname__}() takes {n} positional arguments "
-                            f"but {len(args)} were given")
-        values = {**defaults, **kwargs}
-        for field, value in zip(fields, args):
-            if field in kwargs:
-                raise TypeError(f"{cls.__qualname__}() got multiple values for "
-                                f"argument {field!r}")
-            values[field] = value
-        if values.keys() != names:
-            wrong = [f"unexpected argument {f!r}" for f in values if f not in names]
-            wrong += [f"missing argument {f!r}" for f in fields if f not in values]
-            raise TypeError(f"{cls.__qualname__}(): {', '.join(wrong)}")
-        return tuple(map(values.__getitem__, fields))
-
-    def __init__(self, *args, **kwargs):
-        if kwargs or len(args) != n:
-            args = bind(args, kwargs)
-        for field, value in zip(fields, args):
-            set_field(self, field, value)
-        if post_init is not None:
-            post_init(self)
-        if eq:  # the fields as `__post_init__` left them
-            set_field(self, "_values", args if post_init is None
-                      else tuple(getattr(self, f) for f in fields))
-
-    return __init__
+    """The `__init__` of a record class without its own, compiled from its fields."""
+    fields, name, post_init = cls._fields, cls.__qualname__, cls.__dict__.get("__post_init__")
+    if not all(isinstance(f, str) and f.isidentifier() for f in fields):
+        raise TypeError(f"{name}: the fields {fields} are not all identifiers")
+    params = "".join(f", {f}=__defaults[{f!r}]" if f in cls.__dict__ else f", {f}" for f in fields)
+    body = [f"__set(self, {f!r}, {f})" for f in fields]
+    if post_init is not None:
+        body.append("__post_init(self)")
+    if eq:  # the fields as `__post_init__` left them
+        read = "self." if post_init is not None else ""
+        body.append(f"__set(self, '_values', ({''.join(f'{read}{f}, ' for f in fields)}))")
+    source = f"def __init__(self{params}):\n    " + "\n    ".join(body or ["pass"])
+    # no class-body annotation is named `__*` (it is mangled), so no field hides a helper
+    namespace = {"__name__": cls.__module__, "__set": object.__setattr__,
+                 "__defaults": cls.__dict__, "__post_init": post_init}
+    try:  # a SyntaxError here is a keyword, or a field without a default after one with it
+        exec(compile(source, f"<record {cls.__module__}.{name}>", "exec"), namespace)
+    except SyntaxError as e:
+        raise TypeError(f"{name}: the fields {fields} are not a parameter list ({e.msg})") from None
+    namespace["__init__"].__qualname__ = f"{name}.__init__"
+    return namespace["__init__"]
 
 
 #: Calibrated angle of the final Z rotation in the propagation experiment
@@ -269,6 +249,13 @@ PULSE_RULE = x_pulse_rule(math.pi / 2, name="pulse")
 PI3_RULE = x_pulse_rule(math.pi / 3, name="pi3")
 
 
+def _integer(value, what: str) -> int:
+    """`value` as an int; ValueError unless it is an integer (numpy's are) other than a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{what} {value!r} is not an integer")
+    return int(value)
+
+
 class QcaConfig(Record):
     """Register geometry, update rule, and species assignment.
 
@@ -283,6 +270,7 @@ class QcaConfig(Record):
     b_parity: str = "odd"
 
     def __post_init__(self):
+        object.__setattr__(self, "n_sites", _integer(self.n_sites, "n_sites"))
         if self.n_sites < 2:
             raise ValueError("need at least 2 sites")
         if self.n_sites > MAX_QUBITS:
@@ -511,7 +499,7 @@ def run(
     same layer records, all that its causal poset is built from, and no
     snapshots.  An `initial` state is then an error.
     """
-    if global_steps < 0:
+    if _integer(global_steps, "global_steps") < 0:
         raise ValueError("global_steps must be >= 0")
     if record not in ("per_species_layer", "per_global_step"):
         raise ValueError(f"unknown record granularity {record!r}")

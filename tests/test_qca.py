@@ -465,6 +465,34 @@ class TestRunWithoutSnapshots:
             run(config, 2, initial_state(config), snapshots=False)
 
 
+class TestIntegerArguments:
+    """Sizes and step counts are integers: numpy's are, a bool, a float or a str is not."""
+
+    CONFIG = QcaConfig(n_sites=4, rule=PULSE_RULE)
+
+    @pytest.mark.parametrize("call", [
+        lambda: QcaConfig(n_sites=4.5, rule=PULSE_RULE),
+        lambda: QcaConfig(n_sites=4.0, rule=PULSE_RULE),
+        lambda: QcaConfig(n_sites="4", rule=PULSE_RULE),
+        lambda: QcaConfig(n_sites=True, rule=PULSE_RULE),
+        lambda: run(TestIntegerArguments.CONFIG, 1.5, snapshots=False),
+        lambda: run(TestIntegerArguments.CONFIG, True),
+        lambda: run(TestIntegerArguments.CONFIG, "2", snapshots=False),
+        lambda: ghz_experiment(4.0),
+        lambda: propagate_experiment(4.0, np.array([1, 0])),
+        lambda: pi3_experiment(4.0, 2, 1),
+    ], ids=["config-float", "config-integral-float", "config-str", "config-bool", "run-float",
+            "run-bool", "run-str", "ghz-float", "propagate-float", "pi3-float"])
+    def test_non_integer_rejected(self, call):
+        with pytest.raises(ValueError, match="is not an integer"):
+            call()
+
+    def test_numpy_integers_accepted(self):
+        config = QcaConfig(n_sites=np.int64(4), rule=PULSE_RULE)
+        assert config == self.CONFIG and type(config.n_sites) is int
+        assert run(config, np.int8(2), snapshots=False).layers == run(config, 2).layers
+
+
 class TestPropagation:
     def test_zero_seed_fixed_point(self):
         trace, fid = propagate_experiment(6, np.array([1, 0]))

@@ -9,6 +9,7 @@ the `repr` text that `dataclasses` writes.
 from __future__ import annotations
 
 import dataclasses
+import inspect
 from typing import NamedTuple
 
 import numpy as np
@@ -155,6 +156,20 @@ class TestRecordContract:
         if row.cls in EQ:
             assert record != as_tuple and as_tuple != record
 
+    def test_signature_is_the_fields(self, row):
+        params = inspect.signature(row.cls).parameters.values()
+        assert [p.name for p in params] == list(row.values)
+        assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
+        defaults = {p.name: p.default for p in params if p.default is not p.empty}
+        assert defaults.keys() == row.defaults.keys()
+        assert all(vars(row.cls)[name] is value for name, value in defaults.items())
+
+    def test_init_is_named_for_its_class(self, row):
+        init = row.cls.__init__
+        assert init.__qualname__ == f"{row.cls.__qualname__}.__init__"
+        assert init.__module__ == row.cls.__module__
+        assert row.cls.__qualname__ in init.__code__.co_filename
+
     def test_repr_is_the_dataclass_repr(self, row):
         record = build(row)
         reference = dataclasses.make_dataclass(row.cls.__qualname__, list(row.values),
@@ -210,3 +225,12 @@ def test_defaults_fill_from_the_last_given_field():
         Three()
     with pytest.raises(TypeError):
         type("Bad", (Record,), {"__annotations__": {"a": "int", "b": "int"}, "a": 0})
+
+
+@pytest.mark.parametrize("fields", [
+    {"a b": "int"}, {"a=0": "int"}, {"1a": "int"}, {0: "int"}, {"class": "int"},
+    {"x": "int", "None": "int"}, {"self": "int"},
+], ids=["space", "default", "digit", "not-str", "keyword", "keyword-constant", "self"])
+def test_field_list_that_is_not_a_parameter_list(fields):
+    with pytest.raises(TypeError, match="^Bad: the fields"):
+        type("Bad", (Record,), {"__annotations__": fields})
