@@ -58,10 +58,12 @@ def _topo_key(node: Node) -> tuple[int, int, int]:
 class CausalPoset:
     """Finite poset given by covering relations, with cached reachability.
 
-    The order is the reflexive-transitive closure of the covers; closure
-    rows are bitsets over a fixed topological node order, recomputed per
-    instance.  A trace of L layers on N sites gives (N+2)(2L+1) nodes,
-    18,450 at the CLI's caps (N=16 and 256 steps, so L=512).
+    The order is the reflexive-transitive closure of the covers.  Each
+    node's cones, its ancestors and its descendants, are bitsets over a
+    fixed topological node order, recomputed per instance; the order, the
+    anti-chain tests and thickening read them.  A trace of L layers on N
+    sites gives (N+2)(2L+1) nodes, 18,450 at the CLI's caps (N=16 and 256
+    steps, so L=512).
     """
 
     def __init__(self, nodes: Iterable[Node], covers: Iterable[tuple[Node, Node]]):
@@ -119,9 +121,6 @@ class CausalPoset:
         """x precedes-or-equals y."""
         return bool(self._desc[self._require(x)] >> self._require(y) & 1)
 
-    def comparable(self, x: Node, y: Node) -> bool:
-        return self.leq(x, y) or self.leq(y, x)
-
     def ancestors(self, node: Node) -> frozenset[Node]:
         """All y with y <= node, including node itself."""
         return self._unpack(self._anc[self._require(node)])
@@ -153,22 +152,19 @@ class CausalPoset:
         return max((w.layer for w in self.wires), default=0)
 
     def is_antichain(self, nodes: Iterable[Node]) -> bool:
-        nodes = list(nodes)
-        for i, x in enumerate(nodes):
-            for y in nodes[i + 1:]:
-                if self.comparable(x, y):
-                    return False
-        return True
+        """Each member's cones meet the members only at itself; a node listed twice fails."""
+        positions = [self._require(x) for x in nodes]
+        members = sum(1 << i for i in set(positions))
+        return members.bit_count() == len(positions) and all(
+            (self._anc[i] | self._desc[i]) & members == 1 << i for i in positions)
 
     def is_maximal_antichain(self, nodes: Iterable[Node]) -> bool:
+        """An anti-chain whose members' cones cover every node."""
         nodes = set(nodes)
-        if not self.is_antichain(nodes):
-            return False
-        mask = 0
-        for a in nodes:
-            i = self._require(a)
-            mask |= self._anc[i] | self._desc[i]
-        return all(mask >> self._index[v] & 1 for v in self.nodes if v not in nodes)
+        cover = 0
+        for i in map(self._require, nodes):
+            cover |= self._anc[i] | self._desc[i]
+        return cover == (1 << len(self.nodes)) - 1 and self.is_antichain(nodes)
 
 
 class AntiChain(Record):

@@ -237,6 +237,10 @@ def distance_field(
     slice complex.  Boundary labels are dropped unless `include_boundary`.
     A boundary label absent from the state is a virtual |0> qubit at the
     chain end it bounds: it adds no entropy, so its distance to x is S(x).
+    A distance or site entropy within `ENTROPY_FLOOR` (1e-12 bits) of zero
+    is stored as +0.0, so that an exact zero does not carry a rounding
+    residue that depends on the summation order; a negative distance
+    beyond the floor keeps its sign.
     """
     import numpy as np
 
@@ -263,6 +267,8 @@ def distance_field(
         d = 2.0 * s_pair.get((a, b), s_a + s_b) - s_a - s_b
         values[index[a], index[b]] = d
         values[index[b], index[a]] = d
+    values[np.abs(values) <= ENTROPY_FLOOR] = 0.0
+    s_site = {a: s if s > ENTROPY_FLOOR else 0.0 for a, s in s_site.items()}  # S is never < 0
     return DistanceField(time_step=time_step, labels=labels, values=values,
                          site_entropies=s_site)
 
@@ -270,9 +276,9 @@ def distance_field(
 class BlockReport(Record):
     """Structure of an all-pairs distance field split by its zero-graph.
 
-    Sites land in one region when their mutual distance is below `tol`.
-    The three-region signature of an entangled block in progress is two
-    regions with every cross pair at least `positive_tol`.
+    Sites land in one region when a chain of null distances (|delta| <=
+    `tol`) joins them.  The three-region signature of an entangled block in
+    progress is two regions with every cross pair at least `positive_tol`.
     """
 
     regions: tuple[tuple[int, ...], ...]
@@ -289,48 +295,27 @@ def block_structure_report(
 ) -> BlockReport:
     """Partition sites by null distances and test the block pattern.
 
-    `seed_site`, which puts its own region first, must be one of the
-    field's labels.
+    The regions are the connected components of the graph whose edges are
+    the pairs i < j with |delta| <= `tol`, read off the transitive closure
+    of its adjacency matrix, and ordered by (size, positions).  The pattern
+    holds when there are two regions, every pair inside a region is null,
+    and every cross pair is at least `positive_tol`.  `seed_site`, which
+    puts its own region first, must be one of the field's labels.
     """
     import numpy as np
 
-    labels = field.labels
+    labels, values = field.labels, field.values
     n = len(labels)
-    if np.any(np.isnan(field.values)):
+    if np.any(np.isnan(values)):
         raise ValueError("block structure needs an all-pairs field")
     if seed_site is not None and seed_site not in labels:
         raise ValueError(f"seed site {seed_site} is not one of the sites {list(labels)}")
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(field.values[i, j]) <= tol:
-                parent[find(i)] = find(j)
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    regions = sorted(groups.values(), key=lambda g: (len(g), g))
-    cross = [
-        field.values[i, j]
-        for gi in regions
-        for gj in regions
-        if gi is not gj
-        for i in gi
-        for j in gj
-    ]
-    cross_min = float(min(cross)) if cross else None
-    ok = len(regions) == 2 and cross_min is not None and cross_min >= positive_tol
-    for g in regions:
-        for i in g:
-            for j in g:
-                if abs(field.values[i, j]) > tol:
-                    ok = False
+    near = np.triu(np.abs(values) <= tol, 1)
+    same = np.linalg.matrix_power((near | near.T | np.eye(n, dtype=bool)).astype(float), n) > 0
+    regions = sorted({tuple(np.flatnonzero(row)) for row in same}, key=lambda g: (len(g), g))
+    cross_min = float(values[~same].min()) if len(regions) > 1 else None
+    ok = (len(regions) == 2 and cross_min >= positive_tol
+          and bool(np.all(np.abs(values[same]) <= tol)))
     if len(regions) == 1:
         note = "single null region: no positive boundary (uniform field)"
     elif ok:
@@ -338,9 +323,8 @@ def block_structure_report(
     else:
         note = "irregular pattern"
     region_labels = tuple(tuple(labels[i] for i in g) for g in regions)
-    if seed_site is not None and len(region_labels) == 2:
-        if seed_site in region_labels[1]:
-            region_labels = (region_labels[1], region_labels[0])
+    if len(region_labels) == 2 and seed_site in region_labels[1]:
+        region_labels = (region_labels[1], region_labels[0])
     return BlockReport(regions=region_labels, pattern_holds=ok, cross_min=cross_min, note=note)
 
 

@@ -137,19 +137,18 @@ def _record_init(cls: type, eq: bool):
 #: fidelity of a transported |+> seed; the scan is kept as a test.
 PROPAGATION_Z_ANGLE = math.pi
 
-#: The amplitudes of the seeds that `qca.KET0`, `qca.KET1` and
-#: `qca.KET_PLUS` hold as complex arrays; sqrt(0.5) is 1/sqrt(2) correctly
-#: rounded, and seeds are used as given.
+#: The amplitudes of the experiments' seed qubits; sqrt(0.5) is 1/sqrt(2)
+#: correctly rounded, and seeds are used as given.
 _KETS = {"KET0": (1, 0), "KET1": (0, 1), "KET_PLUS": (math.sqrt(0.5), math.sqrt(0.5))}
 
 
 def __getattr__(name: str):
-    # numpy is imported only where a state is built, so the kets are made on first use
-    if name in _KETS:
+    if name == "KET1":
+        # made on first use, as numpy is imported only where a state is built;
+        # reachable because tests/test_acceptance.py seeds a run with `qca.KET1`
         import numpy as np
 
-        value = globals()[name] = np.array(_KETS[name], dtype=complex)
-        return value
+        return np.array(_KETS[name], dtype=complex)
     if name == "apply_unitary":
         # no gate uses it; reachable because perfbench/tests/test_traced.py
         # checks that a traced run restores `qca.apply_unitary`

@@ -1,8 +1,11 @@
 """Poset construction, cones, slices, and thickening vs. enumeration oracles."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qcageom.causal import (
     AntiChain,
@@ -16,8 +19,6 @@ from qcageom.causal import (
     thicken,
 )
 from qcageom.qca import (
-    KET0,
-    KET_PLUS,
     PI3_RULE,
     PULSE_RULE,
     GateRecord,
@@ -31,6 +32,8 @@ from qcageom.qca import (
 from qcageom.statealg import partial_trace
 
 RNG = np.random.default_rng(3)
+KET0 = np.array([1, 0], dtype=complex)
+KET_PLUS = np.array([math.sqrt(0.5), math.sqrt(0.5)], dtype=complex)
 
 
 def make_trace(n_sites: int, layers: list[tuple[str, list[tuple[int, tuple[int, ...]]]]]) -> RunTrace:
@@ -152,6 +155,27 @@ class TestCones:
                 assert poset.leq(x, z)
 
 
+def pairwise_antichain(poset: CausalPoset, nodes) -> bool:
+    """No two entries of `nodes` are related by `leq`; an entry listed twice is related to itself."""
+    nodes = list(nodes)
+    return not any(poset.leq(x, y) or poset.leq(y, x)
+                   for i, x in enumerate(nodes) for y in nodes[i + 1:])
+
+
+def pairwise_maximal_antichain(poset: CausalPoset, nodes) -> bool:
+    nodes = set(nodes)
+    return pairwise_antichain(poset, nodes) and all(
+        any(poset.leq(a, v) or poset.leq(v, a) for a in nodes) for v in poset.nodes)
+
+
+@st.composite
+def random_run_posets(draw) -> CausalPoset:
+    config = QcaConfig(n_sites=draw(st.integers(2, 5)),
+                       rule=draw(st.sampled_from([PULSE_RULE, PI3_RULE])),
+                       b_parity=draw(st.sampled_from(["odd", "even"])))
+    return build_poset(run(config, draw(st.integers(0, 3)), snapshots=False))
+
+
 class TestSlicesAndFoliation:
     def test_layer_zero_is_initial_data(self):
         poset = build_poset(one_b_layer_n4())
@@ -164,6 +188,31 @@ class TestSlicesAndFoliation:
         poset = build_poset(run(config, 2))
         for layer in range(poset.n_layers + 1):
             assert poset.is_antichain(slice_antichain(poset, layer).nodes)
+
+    @given(random_run_posets(), st.data())
+    @settings(deadline=None)
+    def test_antichain_tests_match_the_pairwise_oracle(self, poset, data):
+        wires = poset.wires_at_layer(data.draw(st.integers(0, poset.n_layers)))
+        candidates = [
+            data.draw(st.lists(st.sampled_from(poset.nodes), max_size=6)),
+            data.draw(st.lists(st.sampled_from(wires), max_size=6)),
+            [*wires, data.draw(st.sampled_from(poset.nodes))],
+        ]
+        for nodes in candidates:
+            assert poset.is_antichain(nodes) == pairwise_antichain(poset, nodes), nodes
+            assert poset.is_maximal_antichain(nodes) == pairwise_maximal_antichain(poset, nodes), \
+                nodes
+
+    @pytest.mark.parametrize("n_sites, steps", [(2, 0), (4, 2), (5, 3)])
+    def test_every_layer_slice_against_the_pairwise_oracle(self, n_sites, steps):
+        poset = build_poset(run(QcaConfig(n_sites=n_sites, rule=PI3_RULE), steps,
+                                snapshots=False))
+        for layer in range(poset.n_layers + 1):
+            wires = poset.wires_at_layer(layer)
+            assert pairwise_maximal_antichain(poset, wires)
+            assert poset.is_antichain(wires) and poset.is_maximal_antichain(wires)
+            assert not poset.is_antichain([*wires, wires[0]])
+            assert not poset.is_maximal_antichain(wires[1:])
 
     def test_maximality_against_extension_oracle(self):
         config = QcaConfig(n_sites=3, rule=PULSE_RULE)

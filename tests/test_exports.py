@@ -20,7 +20,6 @@ from hypothesis import given, settings, strategies as st
 from qcageom import exports, tracereader
 from qcageom.infogeo import DistanceField, distance_field, werner_sweep
 from qcageom.qca import (
-    KET_PLUS,
     PI3_RULE,
     QcaConfig,
     RunTrace,
@@ -32,6 +31,7 @@ from qcageom.qca import (
 )
 
 RNG = np.random.default_rng(5)
+KET_PLUS = np.array([math.sqrt(0.5), math.sqrt(0.5)], dtype=complex)
 
 
 class TestFormatting:

