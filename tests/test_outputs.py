@@ -38,6 +38,10 @@ COMMANDS = (
     ("distance_matrix", ["distance-matrix", "--trace", "{root}/pi3/trace.json", "--step", "4",
                          "--seed-site", "5"]),
     ("trace_topology", ["topology", "--trace", "{root}/pi3/trace.json", "--i-max", "4"]),
+    ("topology_deep", ["run", "--experiment", "topology", "--n-sites", "12",
+                       "--thickness", "16"]),
+    ("trace_topology_odd", ["topology", "--trace", "{root}/pi3/trace.json", "--slice", "1",
+                            "--i-max", "6", "--no-controlled-simplification"]),
 )
 
 
