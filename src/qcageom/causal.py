@@ -60,14 +60,17 @@ class CausalPoset:
 
     The order is the reflexive-transitive closure of the covers.  Each
     node's cones, its ancestors and its descendants, are bitsets over a
-    fixed topological node order, recomputed per instance; the order, the
-    anti-chain tests and thickening read them.  A trace of L layers on N
-    sites gives (N+2)(2L+1) nodes, 18,450 at the CLI's caps (N=16 and 256
-    steps, so L=512).
+    fixed topological node order, computed once per instance, as are the
+    views `wires`, `gates` and `n_layers`.  The order, the anti-chain tests
+    and thickening read the cones.  A trace of L layers on N sites gives
+    (N+2)(2L+1) nodes, 18,450 at the CLI's caps (N=16, 256 steps, L=512).
     """
 
     def __init__(self, nodes: Iterable[Node], covers: Iterable[tuple[Node, Node]]):
         self.nodes: tuple[Node, ...] = tuple(sorted(set(nodes), key=_topo_key))
+        self.wires: tuple[Wire, ...] = tuple(n for n in self.nodes if isinstance(n, Wire))
+        self.gates: tuple[Gate, ...] = tuple(n for n in self.nodes if isinstance(n, Gate))
+        self.n_layers: int = max((w.layer for w in self.wires), default=0)
         self._index = {n: i for i, n in enumerate(self.nodes)}
         n = len(self.nodes)
         self._succ: list[list[int]] = [[] for _ in range(n)]
@@ -136,20 +139,8 @@ class CausalPoset:
             for j in self._succ[i]
         ]
 
-    @property
-    def wires(self) -> tuple[Wire, ...]:
-        return tuple(n for n in self.nodes if isinstance(n, Wire))
-
-    @property
-    def gates(self) -> tuple[Gate, ...]:
-        return tuple(n for n in self.nodes if isinstance(n, Gate))
-
     def wires_at_layer(self, layer: int) -> tuple[Wire, ...]:
         return tuple(w for w in self.wires if w.layer == layer)
-
-    @property
-    def n_layers(self) -> int:
-        return max((w.layer for w in self.wires), default=0)
 
     def is_antichain(self, nodes: Iterable[Node]) -> bool:
         """Each member's cones meet the members only at itself; a node listed twice fails."""

@@ -11,11 +11,15 @@ static topology the update rules induce on the register.  With the
 controlled-gate simplification, edges joining the two control sites of
 a gate are removed unless some other gate's shadow also covers the
 pair, which turns the one-update complex into a discrete line.
+Spans are clipped to the slice as they are built, and the simplification
+counts the spans that hold each control pair, per thickness; the poset
+computes the `gates` and `n_layers` it reads once.
 """
 from __future__ import annotations
 
 import functools
 import itertools
+from collections import Counter
 from typing import Iterable
 
 from .causal import AntiChain, CausalPoset, Gate, Wire, thicken
@@ -276,33 +280,23 @@ def unitary_shadow_complex(
             f"thickness {i} needs {2 * i} species layers above layer {base_layer}, "
             f"only {available} available"
         )
-    lo, hi = sites[0], sites[-1]
-    site_set = set(sites)
-    gate_shadows: list[tuple[Gate, frozenset[int]]] = []
+    lo, hi, site_set = sites[0], sites[-1], frozenset(sites)
+    spans: Counter[frozenset[int]] = Counter()
+    pairs = set()
     for g in poset.gates:
         r = g.layer - base_layer
         if g.kind != "rule" or not 1 <= r <= 2 * i:
             continue
         w = (r + 1) // 2
-        span = frozenset(s for s in range(g.site - w, g.site + w + 1) if s in site_set)
-        gate_shadows.append((g, span))
-    complex_ = SimplicialComplex.from_maximal(
-        [span for _, span in gate_shadows], extra_vertices=sites,
-    )
+        span = site_set.intersection(range(max(lo, g.site - w), min(hi, g.site + w) + 1))
+        spans[span] += 1
+        if {g.site - 1, g.site + 1} <= span:
+            pairs.add(frozenset((g.site - 1, g.site + 1)))
+    complex_ = SimplicialComplex.from_maximal(spans, extra_vertices=sites)
     if not controlled_simplification:
         return complex_
-    removed = []
-    for g, span in gate_shadows:
-        pair = (g.site - 1, g.site + 1)
-        if pair[0] < lo or pair[1] > hi:
-            continue
-        covered = any(
-            other is not g and pair[0] in other_span and pair[1] in other_span
-            for other, other_span in gate_shadows
-        )
-        if not covered:
-            removed.append(pair)
-    return complex_.without_edges(removed)
+    return complex_.without_edges(
+        p for p in pairs if sum(n for span, n in spans.items() if p <= span) == 1)
 
 
 class StableComplexResult(Record):
