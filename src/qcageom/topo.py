@@ -265,11 +265,15 @@ def unitary_shadow_complex(
     """Slice topology induced by the update gates of i global updates.
 
     Vertices are the individual wires (sites) of the slice.  A rule gate
-    at site s, r species layers above the slice, contributes the simplex
-    over sites s-w..s+w with w = ceil(r/2): the reach of its rule
-    neighborhood measured in global updates.  One global update hence
-    yields a chain of 2-simplices; thicker bands fatten the blocks while
-    the global line topology persists.
+    g at site s, r species layers above the slice, contributes the simplex
+    over its span, the slice wires within w = ceil(r/2) of s: the reach of
+    its rule neighborhood measured in global updates.  `ancestors(g)`
+    meets the slice in the register sites within r of s, so a span's
+    register part lies in g's past, at half the causal speed; boundary
+    wires 0 and N+1 sit in spans but in no past, as edge gates list no
+    ancilla as a control.  One global update hence yields a chain of
+    2-simplices; thicker bands fatten the blocks while the global line
+    topology persists.
     """
     if i < 1:
         raise ValueError("thickness must be >= 1")

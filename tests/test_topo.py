@@ -361,6 +361,31 @@ class TestUnitaryShadowComplex:
         result = stable_complex(poset, slice_antichain(poset, 0), 4)
         assert [t for t, _ in result.filtration] == [1, 2]
 
+    @settings(deadline=None)
+    @given(n=st.integers(2, 14), parity=st.sampled_from(["odd", "even"]),
+           layer=st.integers(0, 1), steps=st.integers(1, 4))
+    def test_spans_are_the_past_at_half_the_causal_speed(self, n, parity, layer, steps):
+        # A rule gate g, r layers above the slice, has as its past on the
+        # slice the register sites within r of it; its span is the slice
+        # wires within ceil(r/2), the boundary wires 0 and N+1 included.
+        config = QcaConfig(n_sites=n, rule=PULSE_RULE, b_parity=parity)
+        poset = build_poset(run(config, steps, snapshots=False))
+        base = slice_antichain(poset, layer)
+        spans = {}
+        for g in poset.gates:
+            r = g.layer - layer
+            if g.kind != "rule" or r < 1:
+                continue
+            past = {w.site for w in poset.ancestors(g) & base.nodes}
+            assert past == {s for s in config.register_sites if abs(s - g.site) <= r}
+            spans[g] = frozenset(w.site for w in base.nodes if abs(w.site - g.site) <= (r + 1) // 2)
+            assert spans[g] - set(config.boundary_labels) <= past
+        for i in range(1, (2 * steps - layer) // 2 + 1):
+            cx = unitary_shadow_complex(poset, base, i)
+            assert cx == SimplicialComplex.from_maximal(
+                [span for g, span in spans.items() if g.layer - layer <= 2 * i],
+                extra_vertices=config.labels)
+
     def test_mid_slice_base(self):
         config = QcaConfig(n_sites=4, rule=PULSE_RULE)
         poset = build_poset(run(config, 3))
