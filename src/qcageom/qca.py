@@ -132,11 +132,6 @@ def _record_init(cls: type, eq: bool):
     return namespace["__init__"]
 
 
-#: Calibrated angle of the final Z rotation in the propagation experiment
-#: (exp(-i*theta/2 * sigma_z) on site N).  Derived once by scanning the
-#: fidelity of a transported |+> seed; the scan is kept as a test.
-PROPAGATION_Z_ANGLE = math.pi
-
 #: The amplitudes of the experiments' seed qubits; sqrt(0.5) is 1/sqrt(2)
 #: correctly rounded, and seeds are used as given.
 _KETS = {"KET0": (1, 0), "KET1": (0, 1), "KET_PLUS": (math.sqrt(0.5), math.sqrt(0.5))}
@@ -160,6 +155,13 @@ def __getattr__(name: str):
 #: A 2x2 matrix as rows of Python complex numbers.
 Matrix2 = tuple[tuple[complex, complex], tuple[complex, complex]]
 IDENTITY_2: Matrix2 = ((1 + 0j, 0j), (0j, 1 + 0j))
+# exp(-i*theta*sigma_x) at theta = pi/2 and pi, and exp(-i*theta/2*sigma_z) at
+# theta = pi, the final Z rotation of the propagation experiment (its angle is
+# calibrated by a fidelity scan, kept as a test).  Written exactly: from
+# math.cos and math.sin they carry 1e-16 residues where the entry is 0.
+_MINUS_I_X: Matrix2 = ((0j, -1j), (-1j, 0j))
+_MINUS_I: Matrix2 = ((-1 + 0j, 0j), (0j, -1 + 0j))
+_PROPAGATION_PHASE: Matrix2 = ((-1j, 0j), (0j, 1j))
 
 
 def x_rotation(theta: float) -> Matrix2:
@@ -170,13 +172,6 @@ def x_rotation(theta: float) -> Matrix2:
     """
     c, js = math.cos(theta), 1j * math.sin(theta)
     return ((c * 1 - js * 0, c * 0 - js * 1), (c * 0 - js * 1, c * 1 - js * 0))
-
-
-def z_rotation(theta: float) -> np.ndarray:
-    """exp(-i*theta/2*sigma_z)."""
-    import numpy as np
-
-    return np.diag([np.exp(-0.5j * theta), np.exp(0.5j * theta)])
 
 
 def _as_matrix2(u) -> Matrix2 | None:
@@ -235,14 +230,14 @@ class UpdateRule(Record, eq=False):
 
 
 def x_pulse_rule(theta: float, name: str | None = None) -> UpdateRule:
-    """(1, exp(-i*theta*sx), exp(-i*theta*sx), exp(-i*pi*sx))."""
+    """(1, exp(-i*theta*sx), exp(-i*theta*sx), exp(-i*pi*sx) = -1 exactly)."""
     u = x_rotation(theta)
-    return UpdateRule(IDENTITY_2, u, u, x_rotation(math.pi),
-                      name=name or f"x_pulse(theta={theta:.6g})")
+    return UpdateRule(IDENTITY_2, u, u, _MINUS_I, name=name or f"x_pulse(theta={theta:.6g})")
 
 
-#: Rule used by the propagation and GHZ experiments.
-PULSE_RULE = x_pulse_rule(math.pi / 2, name="pulse")
+#: Rule used by the propagation and GHZ experiments: `x_pulse_rule(pi/2)`,
+#: exactly, so each basis branch of a state stays one basis state.
+PULSE_RULE = UpdateRule(IDENTITY_2, _MINUS_I_X, _MINUS_I_X, _MINUS_I, name="pulse")
 
 #: Rule of the entanglement-diffusion experiment.
 PI3_RULE = x_pulse_rule(math.pi / 3, name="pi3")
@@ -542,7 +537,7 @@ def propagate_experiment(n_sites: int, psi: np.ndarray) -> tuple[RunTrace, float
     config = QcaConfig(n_sites=n_sites, rule=PULSE_RULE, b_parity="even")
     psi = unit_qubit(psi)
     schedule = (_species_layers(config, "BA" * (n_sites // 2))
-                + [_phase_layer(n_sites, z_rotation(PROPAGATION_Z_ANGLE))])
+                + [_phase_layer(n_sites, _PROPAGATION_PHASE)])
     trace = _evolve(config, initial_state(config, {1: psi}), schedule)
     final = trace.snapshots[-1][1]
     rho_n = partial_trace(final, {n_sites}).matrix

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcageom import exports, infogeo
-from qcageom.qca import ghz_experiment, ghz_seed_site
+from qcageom.qca import ghz_experiment, ghz_seed_site, propagate_experiment
 from qcageom.infogeo import (
     BlockReport,
     DistanceField,
@@ -189,6 +189,33 @@ class TestDistanceField:
                 exports.distance_field_csv(DistanceField(idx, field.labels, closed))
             assert not np.any(np.signbit(field.values[field.values == 0.0]))
         assert reached_before == set(range(1, n + 1))
+
+    @pytest.mark.parametrize("n", range(4, 17, 2))
+    def test_propagate_snapshots_follow_the_two_branch_closed_form(self, n):
+        """Each snapshot is a|x> + b|y> for basis states x and y.
+
+        So S(G) = H(|a|^2, |b|^2) when x and y differ both inside and outside
+        G, and S(G) = 0 otherwise; delta is 2 S(pq) - S(p) - S(q) of those.
+        """
+        trace, _ = propagate_experiment(n, np.array([0.6 + 0.2j, 0.3 - 0.7j]))
+        for idx, state in trace.snapshots:
+            ix, iy = np.flatnonzero(state.amplitudes)
+            p = abs(state.amplitudes[ix]) ** 2
+            h = -p * math.log2(p) - (1 - p) * math.log2(1 - p)
+            differ = {site for pos, site in enumerate(state.labels)
+                      if (ix ^ iy) >> (n - 1 - pos) & 1}
+
+            def entropy(group: set[int]) -> float:
+                return h if differ & group and differ - group else 0.0
+
+            field = distance_field(state, time_step=idx)
+            s = {site: entropy({site}) for site in field.labels}
+            assert field.site_entropies == pytest.approx(s, abs=1e-12)
+            assert all(field.site_entropies[q] == 0.0 for q in field.labels if s[q] == 0.0)
+            closed = np.array([[0.0 if a == b else 2 * entropy({a, b}) - s[a] - s[b]
+                                for b in field.labels] for a in field.labels])
+            assert np.max(np.abs(field.values - closed)) <= 1e-12
+            assert np.all(field.values[closed == 0.0] == 0.0)
 
     def test_floor_keeps_the_sign_of_a_negative_distance(self):
         field = distance_field(bell_plus(), pairs="all_pairs")

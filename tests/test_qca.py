@@ -22,7 +22,6 @@ from qcageom.qca import (
     run,
     x_pulse_rule,
     x_rotation,
-    z_rotation,
 )
 from qcageom.statealg import (
     InvariantError,
@@ -41,6 +40,15 @@ KET_PLUS = np.array([math.sqrt(0.5), math.sqrt(0.5)], dtype=complex)
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
+
+#: Angle of the propagation experiment's final Z rotation, exp(-i*theta/2*sigma_z)
+#: on site N, found by `TestPropagation.test_z_angle_calibration`.
+PROPAGATION_Z_ANGLE = math.pi
+
+
+def z_rotation(theta: float) -> np.ndarray:
+    """exp(-i*theta/2*sigma_z)."""
+    return np.diag([np.exp(-0.5j * theta), np.exp(0.5j * theta)])
 
 
 def random_su2() -> np.ndarray:
@@ -155,6 +163,14 @@ class TestUpdateRule:
         assert np.allclose(PULSE_RULE.u0, I2)
         assert np.allclose(PULSE_RULE.u1, -1j * X, atol=1e-12)
         assert np.allclose(PULSE_RULE.u3, -I2, atol=1e-12)
+
+    def test_pulse_matrices_are_exact(self):
+        # the entries that are 0 or +-1 in exact arithmetic are exactly that
+        assert PULSE_RULE.unitaries == (qca.IDENTITY_2, ((0, -1j), (-1j, 0)),
+                                        ((0, -1j), (-1j, 0)), ((-1, 0), (0, -1)))
+        assert PI3_RULE.u3 == PULSE_RULE.u3 == x_pulse_rule(0.25).u3
+        assert np.max(np.abs(np.array(x_rotation(math.pi / 2)) - PULSE_RULE.u1)) <= 1e-15
+        assert np.max(np.abs(np.array(x_rotation(math.pi)) - PULSE_RULE.u3)) <= 1e-15
 
     def test_x_rotation(self):
         theta = 0.37
@@ -486,7 +502,22 @@ class TestIntegerArguments:
         assert run(config, np.int8(2), snapshots=False).layers == run(config, 2).layers
 
 
+@pytest.mark.parametrize("n", range(4, 17, 2))
+def test_pulse_experiments_keep_two_amplitudes(n):
+    # the pulse rule and both corrections map each basis branch to one basis state
+    for trace, fid in (propagate_experiment(n, np.array([0.6 + 0.2j, 0.3 - 0.7j])),
+                       ghz_experiment(n)):
+        for _, state in trace.snapshots:
+            assert np.count_nonzero(state.amplitudes) == 2
+        assert abs(fid - 1.0) <= 1e-15
+
+
 class TestPropagation:
+    def test_phase_is_the_calibrated_z_rotation(self):
+        phase = qca._PROPAGATION_PHASE
+        assert np.max(np.abs(z_rotation(PROPAGATION_Z_ANGLE) - phase)) <= 1e-15
+        assert phase == ((-1j, 0), (0, 1j))
+
     def test_zero_seed_fixed_point(self):
         trace, fid = propagate_experiment(6, np.array([1, 0]))
         assert fid == pytest.approx(1.0, abs=1e-12)
