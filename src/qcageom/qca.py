@@ -230,7 +230,7 @@ class UpdateRule(Record, eq=False):
 
 
 def x_pulse_rule(theta: float, name: str | None = None) -> UpdateRule:
-    """(1, exp(-i*theta*sx), exp(-i*theta*sx), exp(-i*pi*sx) = -1 exactly)."""
+    """(1, exp(-i*theta*sx), exp(-i*theta*sx), exp(-i*pi*sx) = -I, the last exactly)."""
     u = x_rotation(theta)
     return UpdateRule(IDENTITY_2, u, u, _MINUS_I, name=name or f"x_pulse(theta={theta:.6g})")
 

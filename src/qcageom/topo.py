@@ -13,7 +13,7 @@ a gate are removed unless some other gate's shadow also covers the
 pair, which turns the one-update complex into a discrete line.
 Spans are clipped to the slice as they are built, and the simplification
 counts the spans that hold each control pair, per thickness; the poset
-computes the `gates` and `n_layers` it reads once.
+computes once the `gates` and `n_layers` that each thickness reads.
 """
 from __future__ import annotations
 
