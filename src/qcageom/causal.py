@@ -99,12 +99,6 @@ class CausalPoset:
                 mask |= self._anc[j]
             self._anc[i] = mask
 
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-    def __contains__(self, node: Node) -> bool:
-        return node in self._index
-
     def _require(self, node: Node) -> int:
         if node not in self._index:
             raise ValueError(f"unknown node {node!r}")
@@ -159,17 +153,16 @@ class CausalPoset:
 
 
 class AntiChain(Record):
-    """Pairwise incomparable node set; maximal if it cannot be extended."""
+    """A node set, unchecked: `CausalPoset.is_antichain` and `is_maximal_antichain` test it."""
 
     nodes: frozenset[Node]
-    maximal: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", frozenset(self.nodes))
 
 
 class ThickenedAntiChain(Record):
-    """An anti-chain together with the causal depth-i band above it.
+    """The causal depth-i band above a maximal anti-chain, which it includes.
 
     A node p at or above the base belongs to thickness i when the longest
     chain from the base to p, counted in nodes of the combined wire+gate
@@ -178,8 +171,6 @@ class ThickenedAntiChain(Record):
     `maximal_nodes` are the members with no successor among the members.
     """
 
-    base: AntiChain
-    thickness: int
     members: frozenset[Node]
     maximal_nodes: frozenset[Node]
 
@@ -224,7 +215,7 @@ def slice_antichain(poset: CausalPoset, layer: int) -> AntiChain:
     nodes = frozenset(wires)
     if not poset.is_maximal_antichain(nodes):
         raise ValueError(f"wires of layer {layer} do not form a maximal anti-chain")
-    return AntiChain(nodes=nodes, maximal=True)
+    return AntiChain(nodes)
 
 
 def foliate(poset: CausalPoset) -> list[AntiChain]:
@@ -257,7 +248,7 @@ def thicken(poset: CausalPoset, base: AntiChain, i: int) -> ThickenedAntiChain:
         for pos in member_pos
         if not any(s in member_pos for s in poset._succ[pos])
     )
-    return ThickenedAntiChain(base=base, thickness=i, members=members, maximal_nodes=maximal)
+    return ThickenedAntiChain(members, maximal)
 
 
 def poset_json(poset: CausalPoset) -> dict:

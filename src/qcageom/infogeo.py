@@ -164,10 +164,10 @@ def _reduced_entropies(state: StateVector, groups: Sequence[tuple[int, ...]]) ->
     return out
 
 
-def site_entropies(state: StateVector, labels: Sequence[int] | None = None) -> dict[int, float]:
-    """Single-qubit reduced entropies S(q_i), in bits."""
-    labels = tuple(labels) if labels is not None else state.labels
-    return dict(zip(labels, map(float, _reduced_entropies(state, [(lab,) for lab in labels]))))
+def site_entropies(state: StateVector) -> dict[int, float]:
+    """Single-qubit reduced entropies S(q_i), in bits, of every stored site."""
+    return dict(zip(state.labels,
+                    map(float, _reduced_entropies(state, [(lab,) for lab in state.labels]))))
 
 
 class DistanceField(Record, eq=False):

@@ -285,14 +285,10 @@ class QcaConfig(Record):
     def register_sites(self) -> tuple[int, ...]:
         return tuple(range(1, self.n_sites + 1))
 
-    def species_of(self, site: int) -> str:
-        if not 1 <= site <= self.n_sites:
-            raise ValueError(f"site {site} out of range")
-        odd = site % 2 == 1
-        return "B" if (odd == (self.b_parity == "odd")) else "A"
-
     def species_sites(self, species: str) -> tuple[int, ...]:
-        return tuple(s for s in self.register_sites if self.species_of(s) == species)
+        b_odd = self.b_parity == "odd"
+        return tuple(s for s in self.register_sites
+                     if ("B" if (s % 2 == 1) == b_odd else "A") == species)
 
 
 class GateRecord(Record):
@@ -323,10 +319,6 @@ class RunTrace(Record, eq=False):
     #: it, the base64 is read from the file, which stays open while the
     #: sequence lives; for any other layout it is held in memory.
     snapshots: Sequence[tuple[int, StateVector]]
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.layers)
 
     def snapshot_at_layer(self, layer: int) -> StateVector:
         """The snapshot recorded after `layer`; no other snapshot is decoded."""

@@ -56,18 +56,18 @@ def norm2(v: np.ndarray) -> float:
     return float(np.einsum("i,i->", f, f))
 
 
-def is_hermitian(m: np.ndarray, atol: float = ATOL) -> bool:
-    return bool(np.all(np.abs(m - m.conj().T) <= atol))
+def is_hermitian(m: np.ndarray) -> bool:
+    return bool(np.all(np.abs(m - m.conj().T) <= ATOL))
 
 
-def is_unitary(u: np.ndarray, atol: float = ATOL) -> bool:
+def is_unitary(u: np.ndarray) -> bool:
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         return False
     # A unitary's entries have modulus <= 1; checking that first keeps
     # huge or non-finite entries out of the product, where they overflow.
-    if not np.all(np.abs(u) <= 1.0 + atol):
+    if not np.all(np.abs(u) <= 1.0 + ATOL):
         return False
-    return bool(np.all(np.abs(u.conj().T @ u - np.eye(u.shape[0])) <= atol))
+    return bool(np.all(np.abs(u.conj().T @ u - np.eye(u.shape[0])) <= ATOL))
 
 
 class StateVector(Record, eq=False):

@@ -73,17 +73,8 @@ def _snapshot_from_b64(text: str | bytes, config: QcaConfig) -> StateVector:
     return StateVector(amps, config.register_sites)
 
 
-class _Span:
-    """An `amplitudes_b64` string left in the trace file: its byte offset and length."""
-
-    __slots__ = ("offset", "size")
-
-    def __init__(self, offset: int, size: int):
-        self.offset, self.size = offset, size
-
-
 class _TraceFile:
-    """An open trace file, from which the spans of its snapshots are read.
+    """An open trace file, from which the base64 texts of its snapshots are read.
 
     The file stays open until its snapshots are gone, so a file replaced
     after the load still reads the loaded bytes.  A stream that cannot be
@@ -105,9 +96,9 @@ class _TraceFile:
             fh = copy
         self.fh = fh
 
-    def read(self, span: _Span) -> bytes:
-        data = os.pread(self.fh.fileno(), span.size, span.offset)
-        if len(data) != span.size:
+    def read(self, offset: int, size: int) -> bytes:
+        data = os.pread(self.fh.fileno(), size, offset)
+        if len(data) != size:
             raise ValueError(f"cannot read trace {self.name!r}: the file is shorter "
                              "than when it was loaded")
         return data
@@ -116,11 +107,11 @@ class _TraceFile:
 class _EncodedSnapshots(Sequence):
     """The snapshots of a loaded trace, each decoded from its base64 text when read.
 
-    Each text is a string, or a `_Span` read from the trace file.  Nothing
-    is cached: every read decodes and checks the entry again.
+    Each text is a string, or the `(offset, size)` of one left in the trace
+    file.  Nothing is cached: every read decodes and checks the entry again.
     """
 
-    def __init__(self, entries: list[tuple[int, str | _Span]], config: QcaConfig,
+    def __init__(self, entries: list[tuple[int, str | tuple[int, int]]], config: QcaConfig,
                  source: _TraceFile | None):
         self.layers = tuple(layer for layer, _ in entries)
         self._texts = tuple(text for _, text in entries)
@@ -140,8 +131,8 @@ class _EncodedSnapshots(Sequence):
         if isinstance(i, slice):
             return tuple(self[k] for k in range(len(self))[i])
         text = self._texts[i]
-        if isinstance(text, _Span):
-            text = self._source.read(text)
+        if not isinstance(text, str):
+            text = self._source.read(*text)
         return self.layers[i], _snapshot_from_b64(text, self._config)
 
 
@@ -260,7 +251,7 @@ def _written_trace(source: _TraceFile) -> RunTrace | None:
         for off in range(at, at + b64_len, _SCAN_BYTES):
             if os.pread(fd, min(_SCAN_BYTES, at + b64_len - off), off).translate(None, _BASE64):
                 return None
-        entries.append((layer, _Span(at, b64_len)))
+        entries.append((layer, (at, b64_len)))
         at += b64_len
         if os.pread(fd, len(tail), at) != tail:
             return None

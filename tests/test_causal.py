@@ -181,7 +181,7 @@ class TestSlicesAndFoliation:
         poset = build_poset(one_b_layer_n4())
         base = slice_antichain(poset, 0)
         assert base.nodes == frozenset(Wire(s, 0) for s in range(6))
-        assert base.maximal
+        assert poset.is_maximal_antichain(base.nodes)
 
     def test_antichain_property(self):
         config = QcaConfig(n_sites=4, rule=PULSE_RULE)
@@ -318,7 +318,7 @@ class TestThicken:
 
     def test_non_maximal_base_rejected(self):
         poset = self._poset_two_layers()
-        partial = AntiChain(nodes=frozenset([Wire(1, 0), Wire(2, 0)]), maximal=False)
+        partial = AntiChain(nodes=frozenset([Wire(1, 0), Wire(2, 0)]))
         with pytest.raises(ValueError):
             thicken(poset, partial, 1)
 

@@ -550,8 +550,7 @@ class TestWrittenTracesLoad:
         exports.save_trace(path, trace)
         back = exports.load_trace(path)
         if trace.snapshots:
-            assert [type(t) for t in back.snapshots._texts] == \
-                [tracereader._Span] * len(trace.snapshots)
+            assert not any(isinstance(t, str) for t in back.snapshots._texts)
         exports.save_trace(path.with_name("u.json"), back)
         assert path.with_name("u.json").read_bytes() == path.read_bytes()
 

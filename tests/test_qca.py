@@ -200,6 +200,14 @@ class TestUpdateRule:
 
 
 class TestSpeciesUpdate:
+    def test_species_sites_split_the_register_by_parity(self):
+        odd, even = (1, 3, 5), (2, 4)
+        assert QcaConfig(5, PULSE_RULE).species_sites("B") == odd
+        assert QcaConfig(5, PULSE_RULE).species_sites("A") == even
+        assert QcaConfig(5, PULSE_RULE, "even").species_sites("B") == even
+        assert QcaConfig(5, PULSE_RULE, "even").species_sites("A") == odd
+        assert QcaConfig(5, PULSE_RULE).species_sites("X") == ()
+
     def test_all_zero_register_fixed(self):
         config = QcaConfig(n_sites=4, rule=PULSE_RULE)
         state = initial_state(config)
@@ -334,13 +342,13 @@ class TestRun:
     def test_zero_steps(self):
         config = QcaConfig(n_sites=4, rule=PULSE_RULE)
         trace = run(config, 0)
-        assert trace.n_layers == 0
+        assert len(trace.layers) == 0
         assert len(trace.snapshots) == 1
 
     def test_layer_bookkeeping(self):
         config = QcaConfig(n_sites=4, rule=PULSE_RULE)
         trace = run(config, 3)
-        assert trace.n_layers == 6
+        assert len(trace.layers) == 6
         assert [l.species for l in trace.layers] == ["B", "A"] * 3
         assert len(trace.snapshots) == 7
         trace_g = run(config, 3, record="per_global_step")

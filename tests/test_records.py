@@ -44,11 +44,9 @@ ROWS = [
                            snapshots=()), {}, {"granularity": "per_global_step"}, None),
     Row(causal.Wire, dict(site=1, layer=0), {}, {"layer": 1}, None),
     Row(causal.Gate, dict(site=1, layer=1, kind="rule"), {}, {"kind": "identity"}, None),
-    Row(causal.AntiChain, dict(nodes=frozenset({W0}), maximal=True), {"maximal": False},
-        {"nodes": frozenset({W1})}, None),
-    Row(causal.ThickenedAntiChain, dict(base=causal.AntiChain(frozenset({W0})), thickness=1,
-                                        members=frozenset({W0}), maximal_nodes=frozenset({W0})),
-        {}, {"thickness": 2}, None),
+    Row(causal.AntiChain, dict(nodes=frozenset({W0})), {}, {"nodes": frozenset({W1})}, None),
+    Row(causal.ThickenedAntiChain, dict(members=frozenset({W0, W1}), maximal_nodes=frozenset({W0})),
+        {}, {"maximal_nodes": frozenset({W1})}, None),
     Row(topo.StableComplexResult, dict(t_star=None, complex=None, filtration=((1, (1,)),),
                                        note="n"), {}, {"note": "m"}, None),
     Row(statealg.StateVector, dict(amplitudes=np.array([1, 0], dtype=complex), labels=(1,)),
