@@ -11,9 +11,10 @@ static topology the update rules induce on the register.  With the
 controlled-gate simplification, edges joining the two control sites of
 a gate are removed unless some other gate's shadow also covers the
 pair, which turns the one-update complex into a discrete line.
-Spans are clipped to the slice as they are built, and the simplification
-counts the spans that hold each control pair, per thickness; the poset
-computes once the `gates` and `n_layers` that each thickness reads.
+The whole thickness filtration comes from one pass over the poset's gates
+in layer order: thickness t adds the spans, clipped to the slice, of the
+rule gates t global updates up, and the counts of the spans that hold
+each control pair carry over from one thickness to the next.
 """
 from __future__ import annotations
 
@@ -256,6 +257,39 @@ def _species_depth_above(poset: CausalPoset, base_layer: int) -> int:
     return stop - base_layer - 1
 
 
+def _filtration(poset: CausalPoset, base: AntiChain, i_max: int,
+                controlled_simplification: bool) -> list[SimplicialComplex]:
+    """The complexes of thicknesses 1..i_max, or of as many as the species layers allow.
+
+    Thickness t adds the rule gates at layers base+2t-1 and base+2t, whose
+    spans reach w = t; the spans and the pair counts carry over.
+    """
+    base_layer, sites = _slice_sites(base)
+    i_max = min(i_max, _species_depth_above(poset, base_layer) // 2)
+    lo, hi, site_set = sites[0], sites[-1], frozenset(sites)
+    gates_at: dict[int, list[Gate]] = {}  # thickness -> the rule gates it adds
+    for g in poset.gates:
+        r = g.layer - base_layer
+        if g.kind == "rule" and 1 <= r <= 2 * i_max:
+            gates_at.setdefault((r + 1) // 2, []).append(g)
+    spans: set[frozenset[int]] = set()
+    held: Counter[int] = Counter()  # x -> spans that hold the pair (x, x + 2), with multiplicity
+    pairs = set()  # x of each control pair (x, x + 2) that its own gate's span holds
+    complexes = []
+    for t in range(1, i_max + 1):
+        for g in gates_at.get(t, ()):
+            span = site_set.intersection(range(max(lo, g.site - t), min(hi, g.site + t) + 1))
+            spans.add(span)
+            held.update(x for x in span if x + 2 in span)
+            if {g.site - 1, g.site + 1} <= span:
+                pairs.add(g.site - 1)
+        complex_ = SimplicialComplex.from_maximal(spans, extra_vertices=sites)
+        if controlled_simplification:
+            complex_ = complex_.without_edges((x, x + 2) for x in pairs if held[x] == 1)
+        complexes.append(complex_)
+    return complexes
+
+
 def unitary_shadow_complex(
     poset: CausalPoset,
     base: AntiChain,
@@ -277,30 +311,14 @@ def unitary_shadow_complex(
     """
     if i < 1:
         raise ValueError("thickness must be >= 1")
-    base_layer, sites = _slice_sites(base)
+    base_layer, _ = _slice_sites(base)
     available = _species_depth_above(poset, base_layer)
     if 2 * i > available:
         raise ValueError(
             f"thickness {i} needs {2 * i} species layers above layer {base_layer}, "
             f"only {available} available"
         )
-    lo, hi, site_set = sites[0], sites[-1], frozenset(sites)
-    spans: Counter[frozenset[int]] = Counter()
-    pairs = set()
-    for g in poset.gates:
-        r = g.layer - base_layer
-        if g.kind != "rule" or not 1 <= r <= 2 * i:
-            continue
-        w = (r + 1) // 2
-        span = site_set.intersection(range(max(lo, g.site - w), min(hi, g.site + w) + 1))
-        spans[span] += 1
-        if {g.site - 1, g.site + 1} <= span:
-            pairs.add(frozenset((g.site - 1, g.site + 1)))
-    complex_ = SimplicialComplex.from_maximal(spans, extra_vertices=sites)
-    if not controlled_simplification:
-        return complex_
-    return complex_.without_edges(
-        p for p in pairs if sum(n for span, n in spans.items() if p <= span) == 1)
+    return _filtration(poset, base, i, controlled_simplification)[-1]
 
 
 class StableComplexResult(Record):
@@ -327,13 +345,9 @@ def stable_complex(
     """
     if i_max < 1:
         raise ValueError("i_max must be >= 1")
-    base_layer, _ = _slice_sites(base)
-    feasible = min(i_max, _species_depth_above(poset, base_layer) // 2)
-    complexes: dict[int, SimplicialComplex] = {}
-    filtration: list[tuple[int, BettiVector]] = []
-    for t in range(1, feasible + 1):
-        complexes[t] = unitary_shadow_complex(poset, base, t, controlled_simplification)
-        filtration.append((t, betti(complexes[t])))
+    complexes = _filtration(poset, base, i_max, controlled_simplification)
+    feasible = len(complexes)
+    filtration = [(t, betti(c)) for t, c in enumerate(complexes, start=1)]
     bettis = {t: _strip_trailing_zeros(b) for t, b in filtration}
     t_star = None
     for t in range(1, feasible - 1):
@@ -354,7 +368,7 @@ def stable_complex(
                                    filtration=tuple(filtration), note=note)
     return StableComplexResult(
         t_star=t_star,
-        complex=complexes[t_star],
+        complex=complexes[t_star - 1],
         filtration=tuple(filtration),
         note=f"stable from thickness {t_star}",
     )

@@ -272,6 +272,39 @@ class TestNerveOracle:
         assert betti(cx) == betti_oracle(expect)
 
 
+def span_count_oracle(poset, layer: int, sites, i: int) -> tuple[SimplicialComplex, ...]:
+    """The thickness-i slice complex face by face, without and with the simplification.
+
+    A rule gate at site s, r <= 2i layers above the slice, spans the slice
+    sites within ceil(r/2) of s.  The controlled simplification drops the
+    gate's control pair (s-1, s+1) when exactly one span holds it, counting
+    the spans with multiplicity: two gates with the same span count twice.
+    """
+    spans = [(g.site, frozenset(v for v in sites if abs(v - g.site) <= (g.layer - layer + 1) // 2))
+             for g in poset.gates if g.kind == "rule" and 1 <= g.layer - layer <= 2 * i]
+    faces = {frozenset([v]) for v in sites}
+    for _, span in spans:
+        faces.update(frozenset(f) for k in range(2, len(span) + 1)
+                     for f in itertools.combinations(span, k))
+    pairs = {frozenset((s - 1, s + 1)) for s, span in spans if {s - 1, s + 1} <= span}
+    dropped = [p for p in pairs if sum(p <= span for _, span in spans) == 1]
+    kept = [f for f in faces if not any(p <= f for p in dropped)]
+    return SimplicialComplex(sites, faces), SimplicialComplex(sites, kept)
+
+
+def assert_filtration_matches_span_counts(poset, layer: int, i_max: int, depth: int):
+    """Each thickness up to `depth`, by `unitary_shadow_complex` and by `stable_complex`."""
+    base = slice_antichain(poset, layer)
+    sites = sorted(w.site for w in base.nodes)
+    rows = [stable_complex(poset, base, i_max, simplify).filtration for simplify in (False, True)]
+    assert [len(r) for r in rows] == [depth, depth]
+    for i in range(1, depth + 1):
+        for simplify, expect in enumerate(span_count_oracle(poset, layer, sites, i)):
+            cx = unitary_shadow_complex(poset, base, i, controlled_simplification=bool(simplify))
+            assert cx == expect and cx.simplices == expect.simplices, (i, simplify)
+            assert rows[simplify][i - 1] == (i, betti(expect)), (i, simplify)
+
+
 class TestUnitaryShadowComplex:
     @pytest.mark.parametrize("n", [4, 6, 8])
     def test_thickness1_simplified_is_path(self, n):
@@ -371,20 +404,34 @@ class TestUnitaryShadowComplex:
         config = QcaConfig(n_sites=n, rule=PULSE_RULE, b_parity=parity)
         poset = build_poset(run(config, steps, snapshots=False))
         base = slice_antichain(poset, layer)
-        spans = {}
         for g in poset.gates:
             r = g.layer - layer
             if g.kind != "rule" or r < 1:
                 continue
             past = {w.site for w in poset.ancestors(g) & base.nodes}
             assert past == {s for s in config.register_sites if abs(s - g.site) <= r}
-            spans[g] = frozenset(w.site for w in base.nodes if abs(w.site - g.site) <= (r + 1) // 2)
-            assert spans[g] - set(config.boundary_labels) <= past
-        for i in range(1, (2 * steps - layer) // 2 + 1):
-            cx = unitary_shadow_complex(poset, base, i)
-            assert cx == SimplicialComplex.from_maximal(
-                [span for g, span in spans.items() if g.layer - layer <= 2 * i],
-                extra_vertices=config.labels)
+            span = {w.site for w in base.nodes if abs(w.site - g.site) <= (r + 1) // 2}
+            assert span - set(config.boundary_labels) <= past
+        # the species layers run out at (2 * steps - layer) // 2 <= steps
+        assert_filtration_matches_span_counts(poset, layer, steps, (2 * steps - layer) // 2)
+
+    @settings(deadline=None)
+    @given(n=st.integers(2, 8), layer=st.integers(0, 1), data=st.data())
+    def test_control_pairs_are_counted_with_multiplicity(self, n, layer, data):
+        # Layers of any target sets: a site targeted in two consecutive
+        # layers casts the same span twice, which keeps its control pair.
+        targets = data.draw(st.lists(st.sets(st.integers(1, n)), min_size=2, max_size=7))
+        layers = tuple(LayerRecord(k, "B", tuple(GateRecord(s, ()) for s in sorted(sites)))
+                       for k, sites in enumerate(targets, start=1))
+        trace = RunTrace(QcaConfig(n, PULSE_RULE), "per_species_layer", layers, ())
+        depth = (len(layers) - layer) // 2
+        assert_filtration_matches_span_counts(build_poset(trace), layer, depth + 1, depth)
+
+    def test_a_span_held_twice_keeps_its_control_pair(self):
+        layers = tuple(LayerRecord(k, "B", (GateRecord(2, (1, 3)),)) for k in (1, 2))
+        poset = build_poset(RunTrace(QcaConfig(4, PULSE_RULE), "per_species_layer", layers, ()))
+        cx = unitary_shadow_complex(poset, slice_antichain(poset, 0), 1, True)
+        assert sorted(map(sorted, cx.maximal_simplices())) == [[0], [1, 2, 3], [4], [5]]
 
     def test_mid_slice_base(self):
         config = QcaConfig(n_sites=4, rule=PULSE_RULE)
