@@ -4,13 +4,14 @@ from __future__ import annotations
 import decimal
 import math
 from decimal import Decimal
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcageom import exports, infogeo
-from qcageom.qca import ghz_experiment, ghz_seed_site, propagate_experiment
+from qcageom.qca import ghz_experiment, ghz_seed_site, pi3_experiment, propagate_experiment
 from qcageom.infogeo import (
     BlockReport,
     DistanceField,
@@ -334,15 +335,67 @@ class TestBlockPass:
         n = data.draw(st.integers(1, 10), label="n")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         labels = tuple(int(x) for x in rng.permutation(np.arange(20, 20 + 2 * n, 2)))
-        amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-        state = StateVector(amps / np.linalg.norm(amps), labels)
+        size = 1 << n
+        support = np.sort(rng.choice(size, data.draw(st.integers(1, size), label="support"),
+                                     replace=False))
+        amps = np.empty(size, dtype=complex)  # zeros of either sign in both parts
+        amps.real, amps.imag = rng.choice([0.0, -0.0], size), rng.choice([0.0, -0.0], size)
+        amps[support] = rng.normal(size=support.size) + 1j * rng.normal(size=support.size)
+        amps[support] /= np.linalg.norm(amps[support])
+        if support.size < size:  # one subnormal part, in an amplitude that is otherwise 0
+            tiny = int(rng.choice(np.setdiff1d(np.arange(size), support)))
+            amps[tiny] = complex(0.0, -5e-324) if tiny % 2 else complex(1e-310, -0.0)
+            support = np.union1d(support, [tiny])
+        state = StateVector(amps, labels)
+        assert np.array_equal(np.flatnonzero(infogeo._amplitude_bits(state.amplitudes)), support)
         group = st.lists(st.sampled_from(labels), min_size=1, max_size=min(n, 2),
                          unique=True).map(tuple)
         groups = data.draw(st.lists(group, min_size=1, max_size=12), label="groups")
-        entropies = infogeo._reduced_entropies(state, groups)
-        for g, s in zip(groups, entropies):
-            assert abs(s - von_neumann_entropy(partial_trace(state, g))) <= 1e-12
-            assert infogeo._reduced_entropies(state, [g])[0] == s
+        expected = [von_neumann_entropy(partial_trace(state, g)) for g in groups]
+        for fill in (1, 1 << 20):  # GATHER_FILL 1 gathers every state, 2^20 transposes it
+            with mock.patch.object(infogeo, "GATHER_FILL", fill):
+                entropies = infogeo._reduced_entropies(state, groups)
+                for g, s, e in zip(groups, entropies, expected):
+                    assert abs(s - e) <= 1e-12
+                    assert infogeo._reduced_entropies(state, [g])[0] == s
+
+    def test_gathers_sparse_states_and_transposes_dense_ones(self):
+        sparse = StateVector(np.r_[1.0, np.zeros(254), 1.0] / math.sqrt(2))  # 2 * 64 <= 2^8
+        rng = np.random.default_rng(8)
+        dense = rng.normal(size=256) + 1j * rng.normal(size=256)
+        dense /= np.linalg.norm(dense)
+        dense_tail = StateVector(np.r_[np.zeros(128), dense[:128] / np.linalg.norm(dense[:128])])
+        for state, used, unused in ((sparse, "_gathered_blocks", "_transposed_blocks"),
+                                    (StateVector(dense), "_transposed_blocks", "_gathered_blocks"),
+                                    (dense_tail, "_transposed_blocks", "_gathered_blocks")):
+            with mock.patch.object(infogeo, used, wraps=getattr(infogeo, used)) as builder, \
+                    mock.patch.object(infogeo, unused, side_effect=AssertionError(unused)):
+                infogeo._reduced_entropies(state, [(0,), (0, 7)])
+            assert builder.call_count == 1
+
+    def test_a_field_of_virtual_pairs_reads_no_block(self):
+        state = basis_state("00000000", labels=range(1, 9))  # one amplitude: gathered
+        field = distance_field(state, pairs=[(0, 9)], include_boundary=True,
+                               boundary_labels=(0, 9))
+        assert field.value(0, 9) == 0.0 and field.site_entropies == {}
+
+    @pytest.mark.parametrize("n", range(4, 13))
+    def test_builders_agree_on_every_experiment_snapshot(self, n):
+        """Both block builders, on every pi3 (each seed site), GHZ and propagate snapshot."""
+        runs = [pi3_experiment(n, seed) for seed in range(1, n + 1)]
+        if n % 2 == 0:  # GHZ and propagate need an even N
+            runs += [ghz_experiment(n)[0],
+                     propagate_experiment(n, np.array([0.6 + 0.2j, 0.3 - 0.7j]))[0]]
+        sites = tuple((p,) for p in range(n))
+        blocks, _ = infogeo._block_plan(n, sites + tuple(
+            (p, q) for p in range(n) for q in range(p + 1, n)))
+        for trace in runs:
+            for _, state in trace.snapshots:
+                nonzero = np.flatnonzero(infogeo._amplitude_bits(state.amplitudes))
+                gathered = infogeo._gathered_blocks(state, nonzero, blocks)
+                transposed = infogeo._transposed_blocks(state, blocks)
+                for a, b in zip(gathered, transposed, strict=True):
+                    assert np.max(np.abs(a - b)) <= 1e-12
 
     def test_all_pairs_builds_one_block_per_pair_of_chunks(self):
         groups = tuple((p,) for p in range(14)) + tuple(
