@@ -56,14 +56,15 @@ def _topo_key(node: Node) -> tuple[int, int, int]:
 
 
 class CausalPoset:
-    """Finite poset given by covering relations, with cached reachability.
+    """Finite poset given by covering relations.
 
-    The order is the reflexive-transitive closure of the covers.  Each
-    node's cones, its ancestors and its descendants, are bitsets over a
-    fixed topological node order, computed once per instance, as are the
-    views `wires`, `gates` and `n_layers`.  The order, the anti-chain tests
-    and thickening read the cones.  A trace of L layers on N sites gives
-    (N+2)(2L+1) nodes, 18,450 at the CLI's caps (N=16, 256 steps, L=512).
+    The order is the reflexive-transitive closure of the covers, and it is
+    never stored: a node's cones, its ancestors and its descendants, are
+    traversals of the covers, made per query, so memory stays linear in
+    the nodes and covers.  The order, the anti-chain tests and thickening
+    all traverse the covers; the views `wires`, `gates` and `n_layers` are
+    computed once.  A trace of L layers on N sites gives (N+2)(2L+1)
+    nodes, 18,450 at the CLI's caps (N=16, 256 steps, L=512).
     """
 
     def __init__(self, nodes: Iterable[Node], covers: Iterable[tuple[Node, Node]]):
@@ -72,59 +73,45 @@ class CausalPoset:
         self.gates: tuple[Gate, ...] = tuple(n for n in self.nodes if isinstance(n, Gate))
         self.n_layers: int = max((w.layer for w in self.wires), default=0)
         self._index = {n: i for i, n in enumerate(self.nodes)}
-        n = len(self.nodes)
-        self._succ: list[list[int]] = [[] for _ in range(n)]
-        self._pred: list[list[int]] = [[] for _ in range(n)]
+        self._succ: list[list[int]] = [[] for _ in self.nodes]
+        self._pred: list[list[int]] = [[] for _ in self.nodes]
         seen = set()
         for u, v in covers:
-            iu, iv = self._index[u], self._index[v]
+            iu, iv = self._require(u), self._require(v)
             if _topo_key(u) >= _topo_key(v):
                 raise ValueError(f"cover {u} -> {v} violates layer order")
             if (iu, iv) not in seen:
                 seen.add((iu, iv))
                 self._succ[iu].append(iv)
                 self._pred[iv].append(iu)
-        # Reflexive-transitive closure as bitset rows.  Nodes are already
-        # topologically sorted, so one backward and one forward sweep do it.
-        self._desc = [0] * n
-        for i in range(n - 1, -1, -1):
-            mask = 1 << i
-            for j in self._succ[i]:
-                mask |= self._desc[j]
-            self._desc[i] = mask
-        self._anc = [0] * n
-        for i in range(n):
-            mask = 1 << i
-            for j in self._pred[i]:
-                mask |= self._anc[j]
-            self._anc[i] = mask
 
     def _require(self, node: Node) -> int:
         if node not in self._index:
             raise ValueError(f"unknown node {node!r}")
         return self._index[node]
 
-    def _unpack(self, mask: int) -> frozenset[Node]:
-        out = []
-        i = 0
-        while mask:
-            if mask & 1:
-                out.append(self.nodes[i])
-            mask >>= 1
-            i += 1
-        return frozenset(out)
+    def _cone(self, starts: Iterable[int], edges: list[list[int]]) -> set[int]:
+        """The positions reached from `starts` along `edges`, the starts included."""
+        reached = set(starts)
+        stack = list(reached)
+        while stack:
+            for j in edges[stack.pop()]:
+                if j not in reached:
+                    reached.add(j)
+                    stack.append(j)
+        return reached
 
     def leq(self, x: Node, y: Node) -> bool:
         """x precedes-or-equals y."""
-        return bool(self._desc[self._require(x)] >> self._require(y) & 1)
+        return self._require(y) in self._cone([self._require(x)], self._succ)
 
     def ancestors(self, node: Node) -> frozenset[Node]:
         """All y with y <= node, including node itself."""
-        return self._unpack(self._anc[self._require(node)])
+        return frozenset(self.nodes[i] for i in self._cone([self._require(node)], self._pred))
 
     def descendants(self, node: Node) -> frozenset[Node]:
         """All y with node <= y, including node itself."""
-        return self._unpack(self._desc[self._require(node)])
+        return frozenset(self.nodes[i] for i in self._cone([self._require(node)], self._succ))
 
     def covers(self) -> list[tuple[Node, Node]]:
         return [
@@ -137,19 +124,18 @@ class CausalPoset:
         return tuple(w for w in self.wires if w.layer == layer)
 
     def is_antichain(self, nodes: Iterable[Node]) -> bool:
-        """Each member's cones meet the members only at itself; a node listed twice fails."""
+        """No member lies among the members' strict descendants; a node listed twice fails."""
         positions = [self._require(x) for x in nodes]
-        members = sum(1 << i for i in set(positions))
-        return members.bit_count() == len(positions) and all(
-            (self._anc[i] | self._desc[i]) & members == 1 << i for i in positions)
+        members = set(positions)
+        above = self._cone([j for i in members for j in self._succ[i]], self._succ)
+        return len(members) == len(positions) and members.isdisjoint(above)
 
     def is_maximal_antichain(self, nodes: Iterable[Node]) -> bool:
-        """An anti-chain whose members' cones cover every node."""
+        """An anti-chain whose members' up-cones and down-cones cover every node."""
         nodes = set(nodes)
-        cover = 0
-        for i in map(self._require, nodes):
-            cover |= self._anc[i] | self._desc[i]
-        return cover == (1 << len(self.nodes)) - 1 and self.is_antichain(nodes)
+        members = [self._require(x) for x in nodes]
+        covered = self._cone(members, self._succ) | self._cone(members, self._pred)
+        return len(covered) == len(self.nodes) and self.is_antichain(nodes)
 
 
 class AntiChain(Record):
@@ -229,14 +215,10 @@ def thicken(poset: CausalPoset, base: AntiChain, i: int) -> ThickenedAntiChain:
         raise ValueError("thickness must be >= 0")
     if not poset.is_maximal_antichain(base.nodes):
         raise ValueError("base must be a maximal anti-chain")
-    index = poset._index
-    reach = 0
-    for a in base.nodes:
-        reach |= poset._desc[index[a]]
+    reach = poset._cone([poset._index[a] for a in base.nodes], poset._succ)
     depth: dict[int, int] = {}
-    for pos, node in enumerate(poset.nodes):
-        if not reach >> pos & 1:
-            continue
+    for pos in sorted(reach):
+        node = poset.nodes[pos]
         if node in base.nodes:
             depth[pos] = 1
         else:

@@ -210,13 +210,6 @@ def _strip_trailing_zeros(b: BettiVector) -> BettiVector:
     return tuple(out)
 
 
-def _rule_gate_reachable(poset: CausalPoset, node, members: frozenset) -> bool:
-    return any(
-        isinstance(x, Gate) and x.kind == "rule"
-        for x in poset.ancestors(node) & members
-    )
-
-
 def shadow_complex(poset: CausalPoset, base: AntiChain, i: int) -> SimplicialComplex:
     """Nerve of the causal shadows cast on `base` by a thickness-i band.
 
@@ -230,11 +223,12 @@ def shadow_complex(poset: CausalPoset, base: AntiChain, i: int) -> SimplicialCom
     thick = thicken(poset, base, i)
     shadows = set()
     for m in thick.maximal_nodes:
-        if not _rule_gate_reachable(poset, m, thick.members):
+        past = poset.ancestors(m)
+        if not any(isinstance(x, Gate) and x.kind == "rule" for x in past & thick.members):
             continue
-        past = poset.ancestors(m) & base.nodes
-        if past:
-            shadows.add(frozenset(past))
+        shadow = past & base.nodes
+        if shadow:
+            shadows.add(shadow)
     if not shadows:
         raise ValueError("no update-gate shadows in the thickened anti-chain")
     vertex_of = {s: tuple(sorted(w.site for w in s)) for s in shadows}

@@ -2,10 +2,11 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qcageom.causal import (
     AntiChain,
@@ -105,6 +106,37 @@ class TestBuildPoset:
         with pytest.raises(ValueError):
             build_poset(make_trace(4, [("B", [(9, ())])]))
 
+    def test_cover_naming_an_unlisted_node(self):
+        with pytest.raises(ValueError, match=r"Gate\(site=1, layer=1, kind='rule'\)"):
+            CausalPoset([Wire(1, 0)], [(Wire(1, 0), Gate(1, 1, "rule"))])
+        with pytest.raises(ValueError, match=r"Wire\(site=2, layer=0\)"):
+            CausalPoset([Gate(1, 1, "rule")], [(Wire(2, 0), Gate(1, 1, "rule"))])
+
+
+@st.composite
+def random_run_posets(draw) -> CausalPoset:
+    config = QcaConfig(n_sites=draw(st.integers(2, 5)),
+                       rule=draw(st.sampled_from([PULSE_RULE, PI3_RULE])),
+                       b_parity=draw(st.sampled_from(["odd", "even"])))
+    return build_poset(run(config, draw(st.integers(0, 3)), snapshots=False))
+
+
+def layer_rank(node) -> int:
+    """Wires of layer L sit at 2L, the gates of layer L between layers L-1 and L."""
+    return 2 * node.layer - isinstance(node, Gate)
+
+
+@st.composite
+def random_dags(draw) -> CausalPoset:
+    """Posets built directly from covers that may skip levels, as no run builds them."""
+    n_sites, n_layers = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    nodes = [Wire(s, layer) for s in range(n_sites) for layer in range(n_layers + 1)]
+    nodes += [Gate(s, layer, draw(st.sampled_from(["rule", "identity"])))
+              for s in range(n_sites) for layer in range(1, n_layers + 1)]
+    pairs = [(u, v) for u in nodes for v in nodes if layer_rank(u) < layer_rank(v)]
+    covers = draw(st.lists(st.sampled_from(pairs), max_size=3 * len(nodes))) if pairs else []
+    return CausalPoset(nodes, covers)
+
 
 class TestCones:
     def test_isolated_wire(self):
@@ -126,8 +158,10 @@ class TestCones:
         for node in poset.nodes:
             assert poset.ancestors(node) & poset.descendants(node) == {node}
 
-    def test_against_reachability_oracle(self):
-        poset = build_poset(one_b_layer_n4())
+    @given(st.one_of(random_run_posets(), random_dags()))
+    @example(build_poset(one_b_layer_n4()))
+    @settings(deadline=None)
+    def test_against_reachability_oracle(self, poset):
         closure = closure_oracle(poset)
         idx = {node: i for i, node in enumerate(poset.nodes)}
         for node in poset.nodes:
@@ -135,6 +169,9 @@ class TestCones:
             want_anc = {m for m in poset.nodes if closure[idx[m], idx[node]]}
             assert poset.descendants(node) == want_desc
             assert poset.ancestors(node) == want_anc
+        for x in poset.nodes:
+            for y in poset.nodes:
+                assert poset.leq(x, y) == closure[idx[x], idx[y]], (x, y)
 
     def test_unknown_node(self):
         poset = build_poset(one_b_layer_n4())
@@ -156,24 +193,19 @@ class TestCones:
 
 
 def pairwise_antichain(poset: CausalPoset, nodes) -> bool:
-    """No two entries of `nodes` are related by `leq`; an entry listed twice is related to itself."""
-    nodes = list(nodes)
-    return not any(poset.leq(x, y) or poset.leq(y, x)
+    """No two entries of `nodes` are comparable in the closure; an entry listed twice is."""
+    closure, idx = closure_oracle(poset), {node: i for i, node in enumerate(poset.nodes)}
+    nodes = [idx[x] for x in nodes]
+    return not any(closure[x, y] or closure[y, x]
                    for i, x in enumerate(nodes) for y in nodes[i + 1:])
 
 
 def pairwise_maximal_antichain(poset: CausalPoset, nodes) -> bool:
+    closure, idx = closure_oracle(poset), {node: i for i, node in enumerate(poset.nodes)}
     nodes = set(nodes)
     return pairwise_antichain(poset, nodes) and all(
-        any(poset.leq(a, v) or poset.leq(v, a) for a in nodes) for v in poset.nodes)
-
-
-@st.composite
-def random_run_posets(draw) -> CausalPoset:
-    config = QcaConfig(n_sites=draw(st.integers(2, 5)),
-                       rule=draw(st.sampled_from([PULSE_RULE, PI3_RULE])),
-                       b_parity=draw(st.sampled_from(["odd", "even"])))
-    return build_poset(run(config, draw(st.integers(0, 3)), snapshots=False))
+        any(closure[idx[a], v] or closure[v, idx[a]] for a in nodes)
+        for v in range(len(poset.nodes)))
 
 
 class TestSlicesAndFoliation:
@@ -189,7 +221,7 @@ class TestSlicesAndFoliation:
         for layer in range(poset.n_layers + 1):
             assert poset.is_antichain(slice_antichain(poset, layer).nodes)
 
-    @given(random_run_posets(), st.data())
+    @given(st.one_of(random_run_posets(), random_dags()), st.data())
     @settings(deadline=None)
     def test_antichain_tests_match_the_pairwise_oracle(self, poset, data):
         wires = poset.wires_at_layer(data.draw(st.integers(0, poset.n_layers)))
@@ -326,6 +358,29 @@ class TestThicken:
         poset = self._poset_two_layers()
         with pytest.raises(ValueError):
             thicken(poset, slice_antichain(poset, 0), -1)
+
+
+def held_by_poset(steps: int) -> tuple[int, int]:
+    """Node count, and bytes held after `build_poset` and `slice_antichain`, of an N=8 run."""
+    trace = run(QcaConfig(8, PULSE_RULE), steps, snapshots=False)
+    tracemalloc.start()
+    try:
+        poset = build_poset(trace)
+        base = slice_antichain(poset, poset.n_layers // 2)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert base.nodes
+    return len(poset.nodes), held
+
+
+class TestMemory:
+    def test_held_memory_grows_with_the_nodes_not_their_square(self):
+        # 2,570 and 10,250 nodes: a transitive closure stored per node grows toward 16x
+        nodes_64, held_64 = held_by_poset(64)
+        nodes_256, held_256 = held_by_poset(256)
+        assert nodes_256 / nodes_64 == pytest.approx(3.99, abs=0.01)
+        assert held_256 / held_64 <= 5, (held_64, held_256)
 
 
 def random_qubit(rng) -> np.ndarray:
