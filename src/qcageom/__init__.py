@@ -43,7 +43,6 @@ _EXPORTS = {
         "UpdateRule",
         "ghz_experiment",
         "initial_state",
-        "occupation_probabilities",
         "pi3_experiment",
         "propagate_experiment",
         "run",

@@ -1,8 +1,10 @@
 """Causal poset of a QCA run: wires, gates, cones, slices, thickening.
 
-The poset is bipartite: wire nodes are the Hilbert spaces living between
-layers, gate nodes are the unitaries between consecutive slices.  A wire
-precedes every gate it feeds; a gate precedes the single wire it emits.
+`CausalPoset` holds any covers that respect the layer order.  The poset
+of a run, which `build_poset` makes, is bipartite: wire nodes are the
+Hilbert spaces living between layers, gate nodes are the unitaries
+between consecutive slices.  A wire precedes every gate of the next layer
+that it feeds; a gate precedes the single wire it emits at its own site.
 A controlled gate consumes its target and control wires but emits only
 the fresh target wire; every wire that is not targeted in a layer is
 re-emitted through an explicit identity gate.  This keeps consecutive
@@ -56,8 +58,11 @@ def _topo_key(node: Node) -> tuple[int, int, int]:
 
 
 class CausalPoset:
-    """Finite poset given by covering relations.
+    """Finite layered poset given by covering relations.
 
+    Any covers in which each node comes before its successor in the layer
+    order are accepted, wire-to-wire and skip-level covers included; only
+    the posets of `build_poset` are bipartite.
     The order is the reflexive-transitive closure of the covers, and it is
     never stored: a node's cones, its ancestors and its descendants, are
     traversals of the covers, made per query, so memory stays linear in

@@ -4,9 +4,9 @@ Subcommands: run, sweep, distance-matrix, topology.  Every `run`
 experiment needs --n-sites, and a `run` option that the experiment does
 not read is an error.  The propagate, ghz and pi3 experiments share one
 flow: evolve, write the distance fields and the per-site series (p1, or
-for pi3 the entropies taken in the same pass as each field), add the GHZ
-block reports, save the trace, and only then check the fidelity, so a
-failed check discards every written file.
+for pi3 the entropies), both read off the reduced states that each
+field's pass builds, add the GHZ block reports, save the trace, and only
+then check the fidelity, so a failed check discards every written file.
 
 Exit codes: 0 on success; 2 on a bad experiment spec (a non-finite or
 zero --psi, or an option the experiment does not read, among them), an
@@ -238,16 +238,12 @@ def _cmd_run(args, out: _Outputs) -> int:
             raise ValueError("pi3 needs --seed-site")
         trace = qca.pi3_experiment(args.n_sites, args.seed_site, args.steps)
     fields = _write_distance_outputs(out, trace, args.pairs, args.include_boundary, args.pgm)
+    # S(q) for pi3, p(1) otherwise, both from the reduced-state pass that built each field
+    pi3 = args.experiment == "pi3"
     sites = trace.config.register_sites
-    if args.experiment == "pi3":
-        # S(q) from the reduced-state pass that built each snapshot's field
-        series = "entropy"
-        rows = [[f.site_entropies[s] for s in sites] for f in fields]
-    else:
-        series = "p1"
-        rows = [list(qca.occupation_probabilities(state).values())
-                for _, state in trace.snapshots]
-    _write_site_series(out, series, sites, [f.time_step for f in fields], rows, args.pgm)
+    rows = [[(f.site_entropies if pi3 else f.site_p1)[s] for s in sites] for f in fields]
+    _write_site_series(out, "entropy" if pi3 else "p1", sites, [f.time_step for f in fields],
+                       rows, args.pgm)
     if args.experiment == "ghz":
         if args.pairs != "all_pairs" or args.include_boundary:
             # The block reports need register-only all-pairs fields.

@@ -215,8 +215,12 @@ def _sparse_support(amplitudes: np.ndarray) -> np.ndarray | None:
 GATHER_FILL = 64
 
 
-def _reduced_entropies(state: StateVector, groups: Sequence[tuple[int, ...]]) -> np.ndarray:
-    """Entropy in bits of `state` reduced to each label group.
+def _reduced_entropies(state: StateVector,
+                       groups: Sequence[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
+    """Entropy in bits of `state` reduced to each label group, and each group's p1.
+
+    p1 is <1|rho|1> of a single-label group's 2x2 state, read off the
+    states whose spectra give the entropies, and NaN for a larger group.
 
     The register is cut into consecutive two-position chunks, and each
     group is read from the block of the chunks it touches (a group inside
@@ -253,20 +257,22 @@ def _reduced_entropies(state: StateVector, groups: Sequence[tuple[int, ...]]) ->
         block_states = _transposed_blocks(state, blocks)
     else:
         block_states = _gathered_blocks(state, nonzero, blocks)
-    out = np.empty(len(groups))
+    out, p1 = np.empty(len(groups)), np.full(len(groups), math.nan)
     for k, idx, parts in spectra:
         rdms = np.concatenate([
             np.einsum(subscripts, np.stack([block_states[b] for b in uses])
                       .reshape((-1,) + (2,) * (2 * size))).reshape(-1, 1 << k, 1 << k)
             for size, subscripts, uses in parts])
         out[list(idx)] = spectral_entropy(np.linalg.eigvalsh(rdms))
-    return out
+        if k == 1:
+            p1[list(idx)] = rdms[:, 1, 1].real
+    return out, p1
 
 
 def site_entropies(state: StateVector) -> dict[int, float]:
     """Single-qubit reduced entropies S(q_i), in bits, of every stored site."""
-    return dict(zip(state.labels,
-                    map(float, _reduced_entropies(state, [(lab,) for lab in state.labels]))))
+    entropies, _ = _reduced_entropies(state, [(lab,) for lab in state.labels])
+    return dict(zip(state.labels, map(float, entropies)))
 
 
 class DistanceField(Record, eq=False):
@@ -274,13 +280,15 @@ class DistanceField(Record, eq=False):
 
     Entries for pairs that were not computed hold NaN; the diagonal is
     exactly zero.  `site_entropies` maps each stored site that a computed
-    pair touches to S(q) in bits, taken in the same pass as the pairs.
+    pair touches to S(q) in bits, taken in the same pass as the pairs, and
+    `site_p1` maps the same sites to <1|rho_q|1> of the same states.
     """
 
     time_step: int
     labels: tuple[int, ...]
     values: np.ndarray
     site_entropies: dict[int, float] = None  # type: ignore[assignment]
+    site_p1: dict[int, float] = None  # type: ignore[assignment]
 
     def __post_init__(self):
         import numpy as np
@@ -302,6 +310,7 @@ class DistanceField(Record, eq=False):
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "labels", tuple(self.labels))
         object.__setattr__(self, "site_entropies", dict(self.site_entropies or {}))
+        object.__setattr__(self, "site_p1", dict(self.site_p1 or {}))
 
     def value(self, a: int, b: int) -> float:
         return float(self.values[self.labels.index(a), self.labels.index(b)])
@@ -339,7 +348,7 @@ def distance_field(
     A distance or site entropy within `ENTROPY_FLOOR` (1e-12 bits) of zero
     is stored as +0.0, so that an exact zero does not carry a rounding
     residue that depends on the summation order; a negative distance
-    beyond the floor keeps its sign.
+    beyond the floor keeps its sign.  A site's p1 is stored as computed.
     """
     import numpy as np
 
@@ -358,7 +367,7 @@ def distance_field(
     stored = set(state.labels)
     sites = [lab for lab in dict.fromkeys(lab for pair in chosen for lab in pair) if lab in stored]
     whole = [pair for pair in chosen if set(pair) <= stored]
-    entropies = _reduced_entropies(state, [(lab,) for lab in sites] + whole)
+    entropies, p1 = _reduced_entropies(state, [(lab,) for lab in sites] + whole)
     s_site = dict(zip(sites, map(float, entropies)))
     s_pair = dict(zip(whole, entropies[len(sites):]))
     for a, b in chosen:
@@ -369,7 +378,7 @@ def distance_field(
     values[np.abs(values) <= ENTROPY_FLOOR] = 0.0
     s_site = {a: s if s > ENTROPY_FLOOR else 0.0 for a, s in s_site.items()}  # S is never < 0
     return DistanceField(time_step=time_step, labels=labels, values=values,
-                         site_entropies=s_site)
+                         site_entropies=s_site, site_p1=dict(zip(sites, map(float, p1))))
 
 
 class BlockReport(Record):

@@ -501,19 +501,6 @@ def run(
     return _evolve(config, state, schedule, record)
 
 
-def occupation_probabilities(state: StateVector) -> dict[int, float]:
-    """p(1) for every qubit label."""
-    import numpy as np
-
-    n = state.n_qubits
-    probs = np.abs(state.amplitudes.reshape((2,) * n)) ** 2
-    out = {}
-    for pos, lab in enumerate(state.labels):
-        axes = tuple(a for a in range(n) if a != pos)
-        out[lab] = float(probs.sum(axis=axes)[1])
-    return out
-
-
 def propagate_experiment(n_sites: int, psi: np.ndarray) -> tuple[RunTrace, float]:
     """Transport an unknown single-qubit state from site 1 to site N.
 

@@ -121,6 +121,20 @@ def random_run_posets(draw) -> CausalPoset:
     return build_poset(run(config, draw(st.integers(0, 3)), snapshots=False))
 
 
+class TestRunPosetShape:
+    @given(random_run_posets())
+    def test_covers_feed_the_next_layer_or_emit_the_gate_wire(self, poset):
+        """A wire covers into a gate of the next layer; a gate into the one wire it emits."""
+        emitting = set()
+        for u, v in poset.covers():
+            if isinstance(u, Wire):
+                assert isinstance(v, Gate) and v.layer == u.layer + 1, (u, v)
+            else:
+                assert v == Wire(u.site, u.layer), (u, v)
+                emitting.add(u)
+        assert emitting == set(poset.gates)
+
+
 def layer_rank(node) -> int:
     """Wires of layer L sit at 2L, the gates of layer L between layers L-1 and L."""
     return 2 * node.layer - isinstance(node, Gate)

@@ -26,8 +26,8 @@ EXPORTS = {
                 "info_distance", "pure_family_sweep", "site_entropies",
                 "werner_null_crossing", "werner_state", "werner_sweep"],
     "qca": ["PI3_RULE", "PULSE_RULE", "QcaConfig", "RunTrace", "UpdateRule",
-            "ghz_experiment", "initial_state", "occupation_probabilities",
-            "pi3_experiment", "propagate_experiment", "run", "x_pulse_rule"],
+            "ghz_experiment", "initial_state", "pi3_experiment", "propagate_experiment", "run",
+            "x_pulse_rule"],
     "causal": ["AntiChain", "CausalPoset", "Gate", "ThickenedAntiChain", "Wire",
                "build_poset", "foliate", "slice_antichain", "thicken"],
     "topo": ["SimplicialComplex", "betti", "boundary_rank", "shadow_complex",

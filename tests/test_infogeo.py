@@ -351,13 +351,18 @@ class TestBlockPass:
         group = st.lists(st.sampled_from(labels), min_size=1, max_size=min(n, 2),
                          unique=True).map(tuple)
         groups = data.draw(st.lists(group, min_size=1, max_size=12), label="groups")
-        expected = [von_neumann_entropy(partial_trace(state, g)) for g in groups]
+        reduced = [partial_trace(state, g) for g in groups]
         for fill in (1, 1 << 20):  # GATHER_FILL 1 gathers every state, 2^20 transposes it
             with mock.patch.object(infogeo, "GATHER_FILL", fill):
-                entropies = infogeo._reduced_entropies(state, groups)
-                for g, s, e in zip(groups, entropies, expected):
-                    assert abs(s - e) <= 1e-12
-                    assert infogeo._reduced_entropies(state, [g])[0] == s
+                entropies, p1 = infogeo._reduced_entropies(state, groups)
+                for g, s, p, rho in zip(groups, entropies, p1, reduced):
+                    assert abs(s - von_neumann_entropy(rho)) <= 1e-12
+                    if len(g) == 1:
+                        assert abs(p - rho.matrix[1, 1].real) <= 1e-12
+                    else:
+                        assert math.isnan(p)
+                    alone = np.concatenate(infogeo._reduced_entropies(state, [g]))
+                    assert np.array_equal(alone, [s, p], equal_nan=True)
 
     def test_gathers_sparse_states_and_transposes_dense_ones(self):
         sparse = StateVector(np.r_[1.0, np.zeros(254), 1.0] / math.sqrt(2))  # 2 * 64 <= 2^8
@@ -627,6 +632,49 @@ class TestSiteEntropies:
     def test_ghz_marginals(self):
         ent = site_entropies(ghz3())
         assert all(v == pytest.approx(1.0, abs=1e-9) for v in ent.values())
+
+
+def occupation_oracle(state: StateVector) -> dict[int, float]:
+    """p(1) of every label: the sum of |a_i|^2 over the amplitudes whose bit for it is set."""
+    n = state.n_qubits
+    probs = np.abs(state.amplitudes.reshape((2,) * n)) ** 2
+    return {lab: float(probs.sum(axis=tuple(a for a in range(n) if a != pos))[1])
+            for pos, lab in enumerate(state.labels)}
+
+
+class TestSiteP1:
+    """A field's p1 against the direct sum over the amplitudes."""
+
+    def test_matches_direct_sum(self):
+        state = basis_state("0110", labels=(0, 1, 2, 3))
+        assert distance_field(state).site_p1 == occupation_oracle(state) == \
+            {0: 0.0, 1: 1.0, 2: 1.0, 3: 0.0}
+
+    @pytest.mark.parametrize("n", range(2, 17, 2))
+    def test_pulse_snapshots_equal_the_direct_sum_bitwise(self, n):
+        runs = [propagate_experiment(n, np.array([0.6 + 0.2j, 0.3 - 0.7j]))[0]]
+        if n >= 4:  # GHZ needs N >= 4
+            runs.append(ghz_experiment(n)[0])
+        for trace in runs:
+            boundary = trace.config.boundary_labels
+            for _, state in trace.snapshots:
+                oracle = occupation_oracle(state)
+                for pairs, include in (("nearest_neighbor", True), ("all_pairs", False)):
+                    field = distance_field(state, pairs=pairs, include_boundary=include,
+                                           boundary_labels=boundary)
+                    assert field.site_p1 == oracle
+
+    def test_gathered_and_transposed_states_agree_with_the_direct_sum(self):
+        # pi3 snapshots at N=14 hold at most 106 <= 2^14 / GATHER_FILL nonzero amplitudes
+        pi3 = [state for seed in (1, 7, 14) for _, state in pi3_experiment(14, seed).snapshots]
+        dense = [random_state(n) for n in (2, 5, 8, 11)]
+        for states, unused in ((pi3, "_transposed_blocks"), (dense, "_gathered_blocks")):
+            with mock.patch.object(infogeo, unused, side_effect=AssertionError(unused)):
+                for state in states:
+                    oracle = occupation_oracle(state)
+                    p1 = distance_field(state).site_p1
+                    assert p1.keys() == oracle.keys()
+                    assert all(abs(p1[q] - oracle[q]) <= 1e-15 for q in oracle)
 
 
 def test_triangle_inequality_search_is_recorded_only():

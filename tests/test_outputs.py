@@ -42,6 +42,9 @@ COMMANDS = (
                        "--thickness", "16"]),
     ("trace_topology_odd", ["topology", "--trace", "{root}/pi3/trace.json", "--slice", "1",
                             "--i-max", "6", "--no-controlled-simplification"]),
+    ("ghz_nn", ["run", "--experiment", "ghz", "--n-sites", "10"]),
+    ("propagate_boundary", ["run", "--experiment", "propagate", "--n-sites", "10",
+                            "--psi", "0.6+0.2i,0.3-0.7i", "--include-boundary"]),
 )
 
 

@@ -16,7 +16,6 @@ from qcageom.qca import (
     ghz_experiment,
     ghz_vector,
     initial_state,
-    occupation_probabilities,
     pi3_experiment,
     propagate_experiment,
     run,
@@ -44,6 +43,11 @@ X = np.array([[0, 1], [1, 0]], dtype=complex)
 #: Angle of the propagation experiment's final Z rotation, exp(-i*theta/2*sigma_z)
 #: on site N, found by `TestPropagation.test_z_angle_calibration`.
 PROPAGATION_Z_ANGLE = math.pi
+
+
+def p1(state: StateVector, site: int) -> float:
+    """<1|rho|1> of `site`'s reduced state."""
+    return float(partial_trace(state, {site}).matrix[1, 1].real)
 
 
 def z_rotation(theta: float) -> np.ndarray:
@@ -221,8 +225,7 @@ class TestSpeciesUpdate:
         out = species_update(state, config, "B")
         oracle = dense_layer_matrix(config, "B") @ with_ancillae(state)
         assert np.allclose(out.amplitudes, register_part(oracle), atol=1e-12)
-        occ = occupation_probabilities(out)
-        assert occ[2] == pytest.approx(1.0, abs=1e-12)
+        assert p1(out, 2) == pytest.approx(1.0, abs=1e-12)
 
     def test_involutive_rule_squares_to_identity_on_basis(self):
         rule = UpdateRule(I2, X, X, I2)
@@ -533,9 +536,8 @@ class TestPropagation:
         # ridge: after global step g (layer 2g), the excitation sits at
         # sites {2g, 2g+1}, collapsing onto site N at the end
         final = trace.snapshot_at_layer(12)
-        occ = occupation_probabilities(final)
-        assert occ[12] == pytest.approx(1.0, abs=1e-9)
-        assert sum(occ[s] for s in range(1, 12)) <= 1e-9
+        assert p1(final, 12) == pytest.approx(1.0, abs=1e-9)
+        assert sum(p1(final, s) for s in range(1, 12)) <= 1e-9
 
     @pytest.mark.parametrize("n", [4, 8, 12])
     @pytest.mark.parametrize("psi", [
@@ -656,9 +658,3 @@ class TestPi3:
         ent = [von_neumann_entropy(partial_trace(final, {s})) for s in range(1, 11)]
         assert all(e > 1e-6 for e in ent)
 
-
-class TestOccupation:
-    def test_matches_direct_sum(self):
-        state = basis_state("0110", labels=(0, 1, 2, 3))
-        occ = occupation_probabilities(state)
-        assert occ == {0: 0.0, 1: 1.0, 2: 1.0, 3: 0.0}

@@ -54,8 +54,9 @@ ROWS = [
     Row(statealg.DensityMatrix, dict(matrix=np.eye(2) / 2, labels=(1,)), {"labels": (0,)},
         {"labels": (2,)}, {"matrix": np.array([[1, 1], [0, 0]], dtype=complex)}),
     Row(infogeo.DistanceField, dict(time_step=0, labels=(1, 2), values=np.zeros((2, 2)),
-                                    site_entropies={1: 0.0}), {"site_entropies": {}},
-        {"time_step": 1}, {"values": np.array([[0.0, 1.0], [2.0, 0.0]])}),
+                                    site_entropies={1: 0.0}, site_p1={1: 0.0}),
+        {"site_entropies": {}, "site_p1": {}}, {"time_step": 1},
+        {"values": np.array([[0.0, 1.0], [2.0, 0.0]])}),
     Row(infogeo.BlockReport, dict(regions=((1,), (2,)), pattern_holds=False, cross_min=None,
                                   note="x"), {}, {"pattern_holds": True}, None),
     Row(infogeo.SweepCurve, dict(grid=(0.0, 1.0), values=(1.0, 2.0)), {}, {"values": (1.0, 3.0)},
