@@ -45,6 +45,8 @@ COMMANDS = (
     ("ghz_nn", ["run", "--experiment", "ghz", "--n-sites", "10"]),
     ("propagate_boundary", ["run", "--experiment", "propagate", "--n-sites", "10",
                             "--psi", "0.6+0.2i,0.3-0.7i", "--include-boundary"]),
+    ("distance_matrix_boundary", ["distance-matrix", "--trace", "{root}/ghz/trace.json",
+                                  "--step", "2", "--seed-site", "6", "--include-boundary"]),
 )
 
 
