@@ -8,6 +8,14 @@ for pi3 the entropies), both read off the reduced states that each
 field's pass builds, add the GHZ block reports, save the trace, and only
 then check the fidelity, so a failed check discards every written file.
 
+`block_report.json` reports on different fields for the two commands
+that write it.  `run ghz` reports on register-only all-pairs fields,
+built in a second pass when --pairs or --include-boundary makes the
+written fields differ.  `distance-matrix` reports on the field it
+writes, so with --include-boundary the virtual labels 0 and N+1 fall
+into the regions: on the N=8 GHZ trace at step 2 they are
+[[2,3,4,5,6],[0,1,7,8,9]], against [[2,3,4,5,6],[1,7,8]] without.
+
 Exit codes: 0 on success; 2 on a bad experiment spec (a non-finite or
 zero --psi, or an option the experiment does not read, among them), an
 --out that cannot be created or written, or running out of memory; 3

@@ -66,24 +66,21 @@ class Record:
 
     Records of one class are equal when their fields are, and hash as the
     tuple of their fields, taken once, when the record is built; `class
-    R(Record, eq=False)` keeps identity instead.  A class that defines
-    `__init__` sets its fields with `_set_fields`.
+    R(Record, eq=False)` keeps identity instead.  A class body that
+    defines `__init__` is a TypeError when the class is made.
     """
 
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls, eq: bool = True, **kwargs):
         super().__init_subclass__(**kwargs)
+        if "__init__" in cls.__dict__:
+            raise TypeError(f"{cls.__qualname__}: a record's __init__ is made from its fields; "
+                            "define __post_init__ instead")
         cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
-        if "__init__" not in cls.__dict__:
-            cls.__init__ = _record_init(cls, eq)
+        cls.__init__ = _record_init(cls, eq)
         if not eq:
             cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
-
-    def _set_fields(self, *values) -> None:
-        for field, value in zip(self._fields, values):
-            object.__setattr__(self, field, value)
-        object.__setattr__(self, "_values", values)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -109,7 +106,7 @@ class Record:
 
 
 def _record_init(cls: type, eq: bool):
-    """The `__init__` of a record class without its own, compiled from its fields."""
+    """The `__init__` of a record class, compiled from its fields."""
     fields, name, post_init = cls._fields, cls.__qualname__, cls.__dict__.get("__post_init__")
     if not all(isinstance(f, str) and f.isidentifier() for f in fields):
         raise TypeError(f"{name}: the fields {fields} are not all identifiers")
@@ -134,16 +131,12 @@ def _record_init(cls: type, eq: bool):
 
 #: The amplitudes of the experiments' seed qubits; sqrt(0.5) is 1/sqrt(2)
 #: correctly rounded, and seeds are used as given.
-_KETS = {"KET0": (1, 0), "KET1": (0, 1), "KET_PLUS": (math.sqrt(0.5), math.sqrt(0.5))}
+KET0 = (1, 0)
+KET1 = (0, 1)
+KET_PLUS = (math.sqrt(0.5), math.sqrt(0.5))
 
 
 def __getattr__(name: str):
-    if name == "KET1":
-        # made on first use, as numpy is imported only where a state is built;
-        # reachable because tests/test_acceptance.py seeds a run with `qca.KET1`
-        import numpy as np
-
-        return np.array(_KETS[name], dtype=complex)
     if name == "apply_unitary":
         # no gate uses it; reachable because perfbench/tests/test_traced.py
         # checks that a traced run restores `qca.apply_unitary`
@@ -428,7 +421,7 @@ def initial_state(config: QcaConfig, seeds: dict[int, np.ndarray] | None = None)
     for site in seeds:
         if site not in config.register_sites:
             raise ValueError(f"cannot seed non-register site {site}")
-    qubits = [seeds.get(site, _KETS["KET0"]) for site in config.register_sites]
+    qubits = [seeds.get(site, KET0) for site in config.register_sites]
     return product_state(qubits, config.register_sites)
 
 
@@ -563,7 +556,7 @@ def ghz_experiment(n_sites: int) -> tuple[RunTrace, float]:
     correction = np.diag([np.exp(sign * 1j * math.pi / 4), np.exp(-sign * 1j * math.pi / 4)])
     schedule = (_species_layers(config, "BA" * k + ("B" if extra_b else ""))
                 + [_phase_layer(seed_site, correction)])
-    trace = _evolve(config, initial_state(config, {seed_site: _KETS["KET_PLUS"]}), schedule)
+    trace = _evolve(config, initial_state(config, {seed_site: KET_PLUS}), schedule)
     fid = fidelity(trace.snapshots[-1][1], ghz_vector(n_sites, config))
     return trace, fid
 
@@ -579,5 +572,5 @@ def pi3_experiment(
     if not 1 <= seed_site <= n_sites:
         raise ValueError(f"seed site {seed_site} out of range")
     steps = n_sites if global_steps is None else global_steps
-    return run(config, steps, initial_state(config, {seed_site: _KETS["KET_PLUS"]}), record)
+    return run(config, steps, initial_state(config, {seed_site: KET_PLUS}), record)
 

@@ -39,56 +39,44 @@ def _maximal(sets: Iterable[frozenset]) -> frozenset[frozenset]:
 
 
 class SimplicialComplex(Record):
-    """Vertex set plus a face-closed family of simplices.
+    """A vertex set and the downward closure of a family of simplices.
 
-    The complex is stored by its maximal simplices (its cover).  The face
-    set `simplices` is derived from the cover on first use; `dim`,
-    `maximal_simplices` and `betti` never need it.
+    Any family is accepted: the record stores its cover, the maximal
+    non-empty sets of the family, with every vertex a 0-simplex, and the
+    vertices sorted.  A simplex with a vertex outside `vertices` is a
+    ValueError.  The face set `simplices` is derived from the cover on
+    first use; `dim` and `betti` never need it.
     """
 
     vertices: tuple
-    _cover: frozenset[frozenset]
+    cover: frozenset[frozenset]
 
-    def __init__(self, vertices: Iterable, simplices: Iterable[Iterable]):
-        verts = tuple(sorted(set(vertices)))
-        simps = frozenset(frozenset(s) for s in simplices)
-        vert_set = set(verts)
-        for s in simps:
-            if not s:
-                raise ValueError("empty simplex")
-            if not s <= vert_set:
+    def __post_init__(self):
+        vertices = tuple(sorted(set(self.vertices)))
+        family, known = [frozenset(s) for s in self.cover], frozenset(vertices)
+        for s in family:
+            if not s <= known:
                 raise ValueError(f"simplex {sorted(s)!r} uses unknown vertices")
-            for face in itertools.combinations(s, len(s) - 1):
-                if face and frozenset(face) not in simps:
-                    raise ValueError(f"face closure violated at {sorted(s)!r}")
-        facets = {s - {v} for s in simps if len(s) > 1 for v in s}
-        self._set_fields(verts, simps - facets)
-        object.__setattr__(self, "simplices", simps)
-
-    @classmethod
-    def _from_cover(cls, vertices: Iterable, cover: frozenset[frozenset]) -> "SimplicialComplex":
-        out = cls.__new__(cls)
-        out._set_fields(tuple(sorted(set(vertices))), cover)
-        return out
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "cover", _maximal([*family, *(frozenset([v]) for v in vertices)]))
 
     @classmethod
     def from_maximal(cls, maximal: Iterable[Iterable], extra_vertices: Iterable = ()) -> "SimplicialComplex":
         """Downward closure of the given simplices plus isolated vertices."""
         sets = [frozenset(m) for m in maximal]
-        verts = set(extra_vertices).union(*sets)
-        return cls._from_cover(verts, _maximal([*sets, *(frozenset([v]) for v in verts)]))
+        return cls(set(extra_vertices).union(*sets), sets)
 
     @functools.cached_property
     def simplices(self) -> frozenset[frozenset]:
         faces = set()
-        for m in self._cover:
+        for m in self.cover:
             for k in range(1, len(m) + 1):
                 faces.update(map(frozenset, itertools.combinations(m, k)))
         return frozenset(faces)
 
     @property
     def dim(self) -> int:
-        return max((len(s) - 1 for s in self._cover), default=-1)
+        return max((len(s) - 1 for s in self.cover), default=-1)
 
     def k_simplices(self, k: int) -> list[frozenset]:
         return sorted((s for s in self.simplices if len(s) == k + 1),
@@ -96,9 +84,6 @@ class SimplicialComplex(Record):
 
     def edges(self) -> list[tuple]:
         return [tuple(sorted(e)) for e in self.k_simplices(1)]
-
-    def maximal_simplices(self) -> list[frozenset]:
-        return list(self._cover)
 
     def without_edges(self, removed: Iterable[tuple]) -> "SimplicialComplex":
         """Drop the given edges and every simplex containing one of them.
@@ -108,7 +93,7 @@ class SimplicialComplex(Record):
         removed edge.
         """
         removed = {frozenset(e) for e in removed}
-        pending, seen, kept = list(self._cover), set(self._cover), []
+        pending, seen, kept = list(self.cover), set(self.cover), []
         while pending:
             s = pending.pop()
             edge = next((r for r in removed if r <= s), None)
@@ -120,14 +105,14 @@ class SimplicialComplex(Record):
                 if piece not in seen:
                     seen.add(piece)
                     pending.append(piece)
-        return SimplicialComplex._from_cover(self.vertices, _maximal(kept))
+        return SimplicialComplex(self.vertices, kept)
 
     def to_json_obj(self) -> dict:
         return {
             "vertices": [list(v) if isinstance(v, tuple) else v for v in self.vertices],
             "maximal_simplices": sorted(
                 [sorted(list(x) if isinstance(x, tuple) else x for x in s)
-                 for s in self.maximal_simplices()]
+                 for s in self.cover]
             ),
         }
 
@@ -198,8 +183,8 @@ def betti(complex_: SimplicialComplex) -> BettiVector:
     d = complex_.dim
     if d < 0:
         return ()
-    core = _strong_collapse_core(complex_._cover)
-    b = _face_betti(SimplicialComplex._from_cover(frozenset().union(*core), core))
+    core = _strong_collapse_core(complex_.cover)
+    b = _face_betti(SimplicialComplex(frozenset().union(*core), core))
     return b + (0,) * (d + 1 - len(b))
 
 

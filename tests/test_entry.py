@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import math
 import os
 import subprocess
 import sys
@@ -60,6 +61,11 @@ class TestLazyPackage:
                      "print(qcageom.topo.__name__, 'numpy' in sys.modules); "
                      "print(qcageom.statealg.__name__, 'numpy' in sys.modules)")
         assert out == "0.1.0 False\nqcageom.topo False\nqcageom.statealg True\n"
+
+    def test_seeds_load_no_numpy(self):
+        out = python("import sys; from qcageom import qca; "
+                     "print(qca.KET0, qca.KET1, qca.KET_PLUS, 'numpy' in sys.modules)")
+        assert out == f"(1, 0) (0, 1) {(math.sqrt(0.5), math.sqrt(0.5))} False\n"
 
     @pytest.mark.parametrize("module", sorted(EXPORTS))
     def test_names_resolve_to_their_modules(self, module):

@@ -302,6 +302,17 @@ class TestRegisterOnlyState:
             assert state.labels == config.register_sites
             assert state.amplitudes.size == 1 << 5
 
+    def test_seed_tuples_give_the_bits_of_complex_arrays(self):
+        config = QcaConfig(n_sites=3, rule=PI3_RULE)
+
+        def bits(seeds):
+            return initial_state(config, seeds).amplitudes.tobytes()
+
+        for given, array in ((qca.KET1, KET1), (qca.KET_PLUS, KET_PLUS)):
+            assert isinstance(given, tuple)
+            assert bits({2: given}) == bits({2: array})
+        assert bits({}) == bits({1: KET0, 2: KET0, 3: KET0})
+
     def test_site_cap(self):
         assert QcaConfig(n_sites=16, rule=PULSE_RULE).n_sites == 16
         with pytest.raises(ValueError):

@@ -47,6 +47,8 @@ ROWS = [
     Row(causal.AntiChain, dict(nodes=frozenset({W0})), {}, {"nodes": frozenset({W1})}, None),
     Row(causal.ThickenedAntiChain, dict(members=frozenset({W0, W1}), maximal_nodes=frozenset({W0})),
         {}, {"maximal_nodes": frozenset({W1})}, None),
+    Row(topo.SimplicialComplex, dict(vertices=(1, 2), cover=frozenset({frozenset({1, 2})})), {},
+        {"cover": frozenset({frozenset({1}), frozenset({2})})}, {"vertices": (1,)}),
     Row(topo.StableComplexResult, dict(t_star=None, complex=None, filtration=((1, (1,)),),
                                        note="n"), {}, {"note": "m"}, None),
     Row(statealg.StateVector, dict(amplitudes=np.array([1, 0], dtype=complex), labels=(1,)),
@@ -72,10 +74,11 @@ def build(row: Row, **changes) -> Record:
 
 def test_every_record_class_has_a_row():
     classes = {cls for cls in Record.__subclasses__() if cls.__module__.startswith("qcageom.")}
-    assert classes == {row.cls for row in ROWS} | {topo.SimplicialComplex}
+    assert classes == {row.cls for row in ROWS}
     assert {cls.__name__ for cls in EQ} == {
         "QcaConfig", "GateRecord", "LayerRecord", "Wire", "Gate", "AntiChain",
-        "ThickenedAntiChain", "StableComplexResult", "BlockReport", "SweepCurve"}
+        "ThickenedAntiChain", "SimplicialComplex", "StableComplexResult", "BlockReport",
+        "SweepCurve"}
 
 
 @pytest.mark.parametrize("row", ROWS, ids=IDS)
@@ -177,19 +180,31 @@ class TestRecordContract:
 
 
 class TestSimplicialComplexRecord:
-    """`SimplicialComplex` keeps its own `__init__`: its fields are not its arguments."""
+    """`SimplicialComplex` is a plain record: `__post_init__` stores the cover of any family."""
 
     def make(self, vertices=(1, 2)):
         return topo.SimplicialComplex(vertices, [[v] for v in vertices] + [list(vertices)])
 
-    def test_own_init(self):
+    def test_init_takes_the_fields(self):
         c = self.make()
-        assert topo.SimplicialComplex(vertices=[1, 2], simplices=[[1], [2], [1, 2]]) == c
-        assert c._fields == ("vertices", "_cover")
+        assert topo.SimplicialComplex(vertices=[1, 2], cover=[[1], [2], [1, 2]]) == c
+        assert c._fields == ("vertices", "cover")
         with pytest.raises(TypeError):
             topo.SimplicialComplex(vertices=(1, 2), _cover=frozenset())
         with pytest.raises(TypeError):
             topo.SimplicialComplex((1, 2))
+
+    def test_post_init_closes_any_family(self):
+        c = topo.SimplicialComplex([2, 1], [[1], [1, 2], [], [2, 1]])
+        assert c.vertices == (1, 2) and c.cover == {frozenset({1, 2})}
+        assert c.simplices == {frozenset({1}), frozenset({2}), frozenset({1, 2})}
+        assert topo.SimplicialComplex((1, 2), c.simplices) == c
+
+    def test_vertices_are_0_simplices(self):
+        c = self.make().replace(vertices=(3, 1, 2))
+        assert c.vertices == (1, 2, 3)
+        assert c.cover == {frozenset({1, 2}), frozenset({3})}
+        assert topo.SimplicialComplex((), ()).cover == frozenset()
 
     def test_equality_hash_frozen_and_repr(self):
         c = self.make()
@@ -198,9 +213,12 @@ class TestSimplicialComplexRecord:
         assert topo.SimplicialComplex.from_maximal([[1, 2]]) == c
         with pytest.raises(AttributeError):
             c.vertices = ()
-        reference = dataclasses.make_dataclass("SimplicialComplex", ["vertices", "_cover"],
-                                               frozen=True)
-        assert repr(c) == repr(reference(c.vertices, c._cover))
+        assert repr(c) == "SimplicialComplex(vertices=(1, 2), cover=frozenset({frozenset({1, 2})}))"
+
+
+def test_a_record_class_that_defines_init_is_a_type_error():
+    with pytest.raises(TypeError, match="^Own: a record's __init__ is made from its fields"):
+        type("Own", (Record,), {"__annotations__": {"a": "int"}, "__init__": lambda self, a: None})
 
 
 @pytest.mark.parametrize("given, normal", [
