@@ -63,8 +63,8 @@ class SimplicialComplex(Record):
     @classmethod
     def from_maximal(cls, maximal: Iterable[Iterable], extra_vertices: Iterable = ()) -> "SimplicialComplex":
         """Downward closure of the given simplices plus isolated vertices."""
-        sets = [frozenset(m) for m in maximal]
-        return cls(set(extra_vertices).union(*sets), sets)
+        maximal = list(maximal)
+        return cls(set(extra_vertices).union(*maximal), maximal)
 
     @functools.cached_property
     def simplices(self) -> frozenset[frozenset]:
