@@ -47,6 +47,9 @@ COMMANDS = (
                             "--psi", "0.6+0.2i,0.3-0.7i", "--include-boundary"]),
     ("distance_matrix_boundary", ["distance-matrix", "--trace", "{root}/ghz/trace.json",
                                   "--step", "2", "--seed-site", "6", "--include-boundary"]),
+    # the benchmark's N, where every pi3 snapshot takes the gathered field builder
+    ("pi3_14", ["run", "--experiment", "pi3", "--n-sites", "14", "--seed-site", "9",
+                "--steps", "14"]),
 )
 
 
