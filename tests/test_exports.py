@@ -222,6 +222,8 @@ class TestTraceRoundtrip:
         back = exports.load_trace(tmp_path / "t.json")
         assert np.array_equal(back.snapshots[-1][1].amplitudes,
                               trace.snapshots[-1][1].amplitudes)
+        # a rule compares by value, so the loaded config equals the run's
+        assert back.config == trace.config and hash(back.config) == hash(trace.config)
 
     def test_slices_read_each_entry(self, tmp_path):
         trace = pi3_experiment(6, 3)

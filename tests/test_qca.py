@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from qcageom import qca, statealg
 from qcageom.qca import (
@@ -14,7 +14,6 @@ from qcageom.qca import (
     QcaConfig,
     UpdateRule,
     ghz_experiment,
-    ghz_vector,
     initial_state,
     pi3_experiment,
     propagate_experiment,
@@ -55,8 +54,8 @@ def z_rotation(theta: float) -> np.ndarray:
     return np.diag([np.exp(-0.5j * theta), np.exp(0.5j * theta)])
 
 
-def random_su2() -> np.ndarray:
-    m = RNG.normal(size=(2, 2)) + 1j * RNG.normal(size=(2, 2))
+def random_su2(rng: np.random.Generator = RNG) -> np.ndarray:
+    m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     q, r = np.linalg.qr(m)
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
@@ -65,9 +64,9 @@ def random_rule() -> UpdateRule:
     return UpdateRule(random_su2(), random_su2(), random_su2(), random_su2())
 
 
-def random_register_state(config: QcaConfig) -> StateVector:
+def random_register_state(config: QcaConfig, rng: np.random.Generator = RNG) -> StateVector:
     dim = 1 << config.n_sites
-    amps = RNG.normal(size=dim) + 1j * RNG.normal(size=dim)
+    amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return StateVector(amps / np.linalg.norm(amps), config.register_sites)
 
 
@@ -93,8 +92,8 @@ def near_unitaries(draw) -> np.ndarray:
 
 
 def species_update(state: StateVector, config: QcaConfig, species: str) -> StateVector:
-    """One species layer of `config`'s rule, through the kernel that every run uses."""
-    return qca._apply_gates(state, config.rule, qca._species_gates(config, species))
+    """One species layer of `config`'s rule, through the loop that every run uses."""
+    return qca._evolve(config, state, qca._species_layers(config, species)).snapshots[-1][1]
 
 
 def global_update(state: StateVector, config: QcaConfig) -> StateVector:
@@ -417,6 +416,38 @@ class TestRun:
             for b in states[i + 1:]:
                 assert not np.shares_memory(a.amplitudes, b.amplitudes)
 
+    @settings(deadline=None, max_examples=60)
+    @given(n=st.integers(2, 10), parity=st.sampled_from(["odd", "even"]),
+           u0_is_identity=st.booleans(), species=st.text("AB", max_size=6),
+           phase=st.tuples(st.integers(0, 6), st.integers(1, 10)),
+           record=st.sampled_from(["per_species_layer", "per_global_step"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_loop_equals_the_kernel_gate_by_gate(self, n, parity, u0_is_identity, species,
+                                                 phase, record, seed):
+        """`_evolve`'s snapshots have the bits of each gate written into fresh arrays."""
+        rng = np.random.default_rng(seed)
+        u0 = I2 if u0_is_identity else random_su2(rng)
+        rule = UpdateRule(u0, random_su2(rng), random_su2(rng), random_su2(rng))
+        config = QcaConfig(n_sites=n, rule=rule, b_parity=parity)
+        schedule = qca._species_layers(config, species)
+        at, site = phase
+        schedule.insert(min(at, len(schedule)), qca._phase_layer(min(site, n), random_su2(rng)))
+        state = random_register_state(config, rng)
+
+        psi, expected = state.amplitudes, [(0, state.amplitudes)]
+        for index, (kind, layer_rule, gates) in enumerate(schedule, start=1):
+            coef = np.array(layer_rule.unitaries).reshape(2, 2, 2, 2).transpose(3, 0, 2, 1)
+            for gate in gates:
+                psi = qca._controlled_update(psi, coef, gate, np.empty_like(psi),
+                                             np.empty_like(psi))
+            if record == "per_species_layer" or kind == "A":
+                expected.append((index, psi))
+
+        got = qca._evolve(config, state, schedule, record).snapshots
+        assert [layer for layer, _ in got] == [layer for layer, _ in expected]
+        for (_, snapshot), (_, amps) in zip(got, expected):
+            assert np.array_equal(snapshot.amplitudes.view(np.uint64), amps.view(np.uint64))
+
     def test_kernel_matches_its_expression_with_temporaries(self):
         config = QcaConfig(n_sites=5, rule=random_rule())
         coef = np.array(config.rule.unitaries).reshape(2, 2, 2, 2).transpose(3, 0, 2, 1)
@@ -639,7 +670,11 @@ class TestGhz:
         register = StateVector(register_part(oracle.amplitudes), config.register_sites)
         trace, fid = ghz_experiment(4)
         assert np.max(np.abs(trace.snapshots[-1][1].amplitudes - register.amplitudes)) <= 1e-10
-        assert fidelity(register, ghz_vector(4, config)) == pytest.approx(1.0, abs=1e-12)
+        ghz = np.zeros(1 << 4, dtype=complex)
+        ghz[[0, -1]] = 1 / math.sqrt(2)
+        ghz = StateVector(ghz, config.register_sites)
+        assert fidelity(register, ghz) == pytest.approx(1.0, abs=1e-12)
+        assert fid == pytest.approx(fidelity(trace.snapshots[-1][1], ghz), abs=1e-15)
         assert fid >= 1 - 1e-9
 
     def test_rejects_bad_n(self):

@@ -76,7 +76,7 @@ def test_every_record_class_has_a_row():
     classes = {cls for cls in Record.__subclasses__() if cls.__module__.startswith("qcageom.")}
     assert classes == {row.cls for row in ROWS}
     assert {cls.__name__ for cls in EQ} == {
-        "QcaConfig", "GateRecord", "LayerRecord", "Wire", "Gate", "AntiChain",
+        "UpdateRule", "QcaConfig", "GateRecord", "LayerRecord", "Wire", "Gate", "AntiChain",
         "ThickenedAntiChain", "SimplicialComplex", "StableComplexResult", "BlockReport",
         "SweepCurve"}
 
