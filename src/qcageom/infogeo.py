@@ -183,21 +183,6 @@ def _amplitude_bits(amplitudes: np.ndarray) -> np.ndarray:
     return bits
 
 
-def _sparse_support(amplitudes: np.ndarray) -> np.ndarray | None:
-    """Flat indices of the nonzero amplitudes, or None if they are more than 2^N / GATHER_FILL.
-
-    The first 2^N / GATHER_FILL * 2 amplitudes are tested alone first, so
-    that a dense state costs only those.
-    """
-    import numpy as np
-
-    limit = amplitudes.size // GATHER_FILL
-    if np.count_nonzero(_amplitude_bits(amplitudes[:2 * limit])) > limit:
-        return None
-    nonzero = np.flatnonzero(_amplitude_bits(amplitudes))
-    return nonzero if nonzero.size <= limit else None
-
-
 #: A state whose nonzero amplitudes number at most 2^N / GATHER_FILL has its
 #: block states gathered from those amplitudes; a denser one is transposed
 #: whole.  All-pairs blocks of random supports, gathered against transposed,
@@ -227,9 +212,10 @@ def _reduced_entropies(state: StateVector,
     one chunk takes a neighbouring chunk too; see `_block_positions`).
     Each block state is one m @ m^H, of at most 16x16 for sites and
     pairs, so an all-pairs pass on N qubits builds (ceil(N/2) choose 2)
-    block states, not one state per pair.  The nonzero amplitudes are
-    found by an exact bit test (`_sparse_support`).  When they are at
-    most 2^N / `GATHER_FILL`, m holds only the columns with a nonzero
+    block states, not one state per pair.  One `_amplitude_bits` pass
+    over the amplitudes finds the nonzero ones by an exact bit test, and
+    their count alone picks the builder.  When they are at most
+    2^N / `GATHER_FILL`, m holds only the columns with a nonzero
     amplitude (`_gathered_blocks`): every pi3 snapshot at N=14 and N=16
     has at most 106 and 137, and GHZ and propagate snapshots have 2.
     Otherwise m is the block's rows of one transposed copy of all the
@@ -252,11 +238,11 @@ def _reduced_entropies(state: StateVector,
     where = {lab: p for p, lab in enumerate(state.labels)}
     positions = tuple(tuple(sorted(where[lab] for lab in group)) for group in groups)
     blocks, spectra = _block_plan(n, positions)
-    nonzero = _sparse_support(state.amplitudes)
-    if nonzero is None:
+    bits = _amplitude_bits(state.amplitudes)
+    if np.count_nonzero(bits) * GATHER_FILL > bits.size:
         block_states = _transposed_blocks(state, blocks)
     else:
-        block_states = _gathered_blocks(state, nonzero, blocks)
+        block_states = _gathered_blocks(state, np.flatnonzero(bits), blocks)
     out, p1 = np.empty(len(groups)), np.full(len(groups), math.nan)
     for k, idx, parts in spectra:
         rdms = np.concatenate([

@@ -10,6 +10,7 @@ import math
 import shlex
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -563,6 +564,41 @@ class TestTopologyCommands:
         rows = (tmp_path / "t7" / "betti_filtration.csv").read_text().splitlines()
         assert rows[0] == ",".join(["thickness", *[f"b{k}" for k in range(15)]])
         assert rows[1:] == [",".join([str(t), "1", *["0"] * 14]) for t in range(1, 8)]
+
+
+class TestReducedStatePasses:
+    """How many reduced-state passes (`infogeo._reduced_entropies` calls) each command takes."""
+
+    @staticmethod
+    def count_passes(*argv) -> int:
+        with mock.patch.object(infogeo, "_reduced_entropies",
+                               wraps=infogeo._reduced_entropies) as spy:
+            assert run_cli(*argv) == 0
+        return spy.call_count
+
+    @pytest.mark.parametrize("argv, passes", [
+        (("pi3", "--seed-site", 4), 17),
+        (("pi3", "--seed-site", 4, "--pairs", "all_pairs"), 17),
+        (("propagate",), 10),
+        (("ghz", "--pairs", "all_pairs"), 6),
+        # two passes per snapshot: block_report.json reads a second, register-only
+        # all-pairs field (ROADMAP item 21; a FOUND on cli._cmd_run in CHANGES.md).
+        # Reading the written field off that one makes these 6.
+        (("ghz",), 12),
+        (("ghz", "--pairs", "all_pairs", "--include-boundary"), 12),
+    ], ids=["pi3", "pi3-all-pairs", "propagate", "ghz-all-pairs", "ghz", "ghz-boundary"])
+    def test_run_takes_one_pass_per_snapshot(self, tmp_path, argv, passes):
+        experiment, *options = argv
+        assert self.count_passes("run", "--experiment", experiment, "--n-sites", 8, *options,
+                                 "--out", tmp_path / "o") == passes
+
+    def test_distance_matrix_takes_one_pass(self, tmp_path, pi3_trace):
+        assert self.count_passes("distance-matrix", "--trace", pi3_trace, "--step", 3,
+                                 "--out", tmp_path / "d") == 1
+
+    def test_topology_and_sweep_take_none(self, tmp_path, pi3_trace):
+        assert self.count_passes("topology", "--trace", pi3_trace, "--out", tmp_path / "t") == 0
+        assert self.count_passes("sweep", "--family", "werner", "--out", tmp_path / "s") == 0
 
 
 class TestTraceInputErrors:

@@ -378,6 +378,27 @@ class TestBlockPass:
                 infogeo._reduced_entropies(state, [(0,), (0, 7)])
             assert builder.call_count == 1
 
+    @pytest.mark.parametrize("tail", [False, True], ids=["head", "tail"])
+    @pytest.mark.parametrize("n, extra, gathers", [
+        (8, 0, True), (8, 1, False), (12, 0, True), (12, 1, False),
+        (4, 1, False), (5, 1, False),  # 2^N / 64 is 0, so even one amplitude transposes
+    ])
+    def test_the_count_alone_picks_the_builder(self, n, extra, gathers, tail):
+        """2^N / GATHER_FILL nonzero amplitudes gather and one more transposes, wherever they lie."""
+        count = (1 << n) // infogeo.GATHER_FILL + extra
+        rng = np.random.default_rng(100 * n + count)
+        amps = np.zeros(1 << n, dtype=complex)
+        where = slice((1 << n) - count, None) if tail else slice(0, count)
+        amps[where] = rng.normal(size=count) + 1j * rng.normal(size=count)
+        state = StateVector(amps / np.linalg.norm(amps))
+        groups = [(p,) for p in range(n)] + [(p, q) for p in range(n) for q in range(p + 1, n)]
+        with mock.patch.object(infogeo, "_gathered_blocks",
+                               wraps=infogeo._gathered_blocks) as gathered:
+            entropies, _ = infogeo._reduced_entropies(state, groups)
+        assert gathered.call_count == gathers
+        for group, s in zip(groups, entropies, strict=True):
+            assert abs(s - von_neumann_entropy(partial_trace(state, group))) <= 1e-12
+
     def test_a_field_of_virtual_pairs_reads_no_block(self):
         state = basis_state("00000000", labels=range(1, 9))  # one amplitude: gathered
         field = distance_field(state, pairs=[(0, 9)], include_boundary=True,
