@@ -43,6 +43,7 @@ COMMANDS = (
     ("trace_topology_odd", ["topology", "--trace", "{root}/pi3/trace.json", "--slice", "1",
                             "--i-max", "6", "--no-controlled-simplification"]),
     ("ghz_nn", ["run", "--experiment", "ghz", "--n-sites", "10"]),
+    ("ghz_boundary", ["run", "--experiment", "ghz", "--n-sites", "10", "--include-boundary"]),
     ("propagate_boundary", ["run", "--experiment", "propagate", "--n-sites", "10",
                             "--psi", "0.6+0.2i,0.3-0.7i", "--include-boundary"]),
     ("distance_matrix_boundary", ["distance-matrix", "--trace", "{root}/ghz/trace.json",
