@@ -9,10 +9,11 @@ field's pass builds, add the GHZ block reports, save the trace, and only
 then check the fidelity, so a failed check discards every written file.
 
 `block_report.json` reports on different fields for the two commands
-that write it.  `run ghz` reports on register-only all-pairs fields,
-built in a second pass when --pairs or --include-boundary makes the
-written fields differ.  `distance-matrix` reports on the field it
-writes, so with --include-boundary the virtual labels 0 and N+1 fall
+that write it.  `run ghz` takes one all-pairs field per snapshot, with
+the virtual labels 0 and N+1 under --include-boundary.  It writes that
+field masked to neighbouring pairs under the default --pairs, and
+reports on its register-only part.  `distance-matrix` reports on the
+field it writes, so with --include-boundary the virtual labels fall
 into the regions: on the N=8 GHZ trace at step 2 they are
 [[2,3,4,5,6],[0,1,7,8,9]], against [[2,3,4,5,6],[1,7,8]] without.
 
@@ -151,19 +152,27 @@ def _snapshot_field(trace: qca.RunTrace, idx: int, state, pairs: str,
     )
 
 
-def _write_distance_outputs(out: _Outputs, trace: qca.RunTrace, pairs: str,
-                            include_boundary: bool, pgm: bool) -> list[infogeo.DistanceField]:
-    """Write one distance CSV per snapshot; return the fields."""
-    fields = []
-    for idx, state in trace.snapshots:
-        field = _snapshot_field(trace, idx, state, pairs, include_boundary)
-        fields.append(field)
-        out.write_text(f"distance_step_{idx:04d}.csv", exports.distance_field_csv(field))
+def _nearest_neighbor_part(field: infogeo.DistanceField) -> infogeo.DistanceField:
+    """`field` with the distances of non-neighbouring labels not computed."""
+    import numpy as np
+
+    from . import infogeo
+
+    i = np.arange(len(field.labels))
+    near = np.abs(i[:, None] - i) <= 1
+    return field.replace(values=np.where(near, field.values, infogeo.UNCOMPUTED))
+
+
+def _write_distance_outputs(out: _Outputs, fields: list[infogeo.DistanceField], pairs: str,
+                            pgm: bool) -> None:
+    """Write one distance CSV per field, and the neighbours' series for nearest-neighbour pairs."""
+    for field in fields:
+        out.write_text(f"distance_step_{field.time_step:04d}.csv",
+                       exports.distance_field_csv(field))
     if fields and pairs == "nearest_neighbor":
         _write_site_series(out, "nn_distance", _pair_columns(fields[0].labels),
                            [f.time_step for f in fields],
                            [f.values.diagonal(1) for f in fields], pgm)
-    return fields
 
 
 def _write_site_series(out: _Outputs, name: str, columns, layers, rows, pgm: bool) -> None:
@@ -245,18 +254,24 @@ def _cmd_run(args, out: _Outputs) -> int:
         if args.seed_site is None:
             raise ValueError("pi3 needs --seed-site")
         trace = qca.pi3_experiment(args.n_sites, args.seed_site, args.steps)
-    fields = _write_distance_outputs(out, trace, args.pairs, args.include_boundary, args.pgm)
+    # run ghz reports on all-pairs fields, so it takes all pairs and writes the pairs asked for
+    ghz = args.experiment == "ghz"
+    fields = [_snapshot_field(trace, idx, state, "all_pairs" if ghz else args.pairs,
+                              args.include_boundary) for idx, state in trace.snapshots]
+    written = fields
+    if ghz and args.pairs == "nearest_neighbor":
+        written = [_nearest_neighbor_part(f) for f in fields]
+    _write_distance_outputs(out, written, args.pairs, args.pgm)
     # S(q) for pi3, p(1) otherwise, both from the reduced-state pass that built each field
     pi3 = args.experiment == "pi3"
     sites = trace.config.register_sites
     rows = [[(f.site_entropies if pi3 else f.site_p1)[s] for s in sites] for f in fields]
     _write_site_series(out, "entropy" if pi3 else "p1", sites, [f.time_step for f in fields],
                        rows, args.pgm)
-    if args.experiment == "ghz":
-        if args.pairs != "all_pairs" or args.include_boundary:
-            # The block reports need register-only all-pairs fields.
-            fields = [_snapshot_field(trace, idx, state, "all_pairs", False)
-                      for idx, state in trace.snapshots]
+    if ghz:
+        if args.include_boundary:  # the block reports drop the virtual first and last labels
+            fields = [f.replace(labels=f.labels[1:-1], values=f.values[1:-1, 1:-1])
+                      for f in fields]
         seed = qca.ghz_seed_site(args.n_sites)
         out.write_json("block_report.json", [_block_report_obj(f, seed) for f in fields])
     _maybe_save_trace(out, trace, args)

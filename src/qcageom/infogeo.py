@@ -95,11 +95,11 @@ def _block_plan(n: int, groups: tuple[tuple[int, ...], ...]):
     """Which blocks to build and how to trace each group's state out of them.
 
     `groups` holds sorted register positions.  Returns the blocks as
-    (transpose order, block size), and for each number k of kept
-    positions the group indices with the traces that give their
-    2^k x 2^k states in that order, as (block size, einsum subscripts,
-    block indices).  The plan is all tuples, since every caller of the
-    cache gets the same one.
+    (the block's positions then the rest's, block size), and for each
+    number k of kept positions the group indices with the traces that
+    give their 2^k x 2^k states in that order, as (block size, einsum
+    subscripts, block indices).  The plan is all tuples, since every
+    caller of the cache gets the same one.
     """
     blocks: dict[tuple[int, ...], int] = {}
     traces: dict[tuple[int, tuple[int, ...]], list[tuple[int, int]]] = {}
@@ -121,39 +121,27 @@ def _block_plan(n: int, groups: tuple[tuple[int, ...], ...]):
     return orders, tuple((k, tuple(idx), tuple(parts)) for k, (idx, parts) in spectra.items())
 
 
-def _transposed_blocks(state: StateVector, blocks) -> list[np.ndarray]:
-    """Each block's state, from one transpose of all the amplitudes into a reused buffer."""
-    import numpy as np
+def _block_states(state: StateVector, blocks) -> list[np.ndarray]:
+    """Each block's state, from the nonzero amplitudes alone.
 
-    psi = state.amplitudes.reshape((2,) * state.n_qubits)
-    moved, conj = np.empty_like(psi), np.empty(psi.size, dtype=complex)
-    block_states = []
-    for order, size in blocks:
-        np.copyto(moved, np.transpose(psi, order))
-        m = moved.reshape(1 << size, -1)
-        block_states.append(m @ np.conjugate(m, out=conj.reshape(m.shape)).T)
-    return block_states
-
-
-def _gathered_blocks(state: StateVector, nonzero: np.ndarray, blocks) -> list[np.ndarray]:
-    """Each block's state, from the amplitudes at the flat indices `nonzero` alone.
-
-    An amplitude's index in the transposed copy of a block's order splits
+    One `_amplitude_bits` pass finds the nonzero amplitudes.  An
+    amplitude's index in the register permuted to a block's order splits
     into its row (the block's bits) and its column (the rest's bits).  A
-    block's matrix holds one column per rest configuration with a nonzero
-    amplitude, in the transposed copy's column order, so m @ m^H drops
-    only zero terms.  The rows and columns of all blocks come from one
-    vectorized pass and one `np.unique`; each block then costs one small
-    product of its own width.
+    block's matrix m holds one column per rest configuration with a
+    nonzero amplitude, in the permuted register's column order, so m @ m^H
+    drops only zero terms.  The rows and columns of all blocks come from
+    one vectorized pass and one `np.unique`; each block then costs one
+    small product of its own width.
     """
     import numpy as np
 
     n = state.n_qubits
+    nonzero = np.flatnonzero(_amplitude_bits(state.amplitudes))
     shifts = np.arange(n - 1, -1, -1)
     weights = np.zeros((n, len(blocks)), dtype=np.int64)  # each position's bit, per block
     orders = np.array([order for order, _ in blocks], dtype=np.int64).reshape(-1, n)
     weights[orders.T, np.arange(len(blocks))] = (1 << shifts)[:, None]
-    moved = ((nonzero[:, None] >> shifts) & 1) @ weights  # index in each transposed copy
+    moved = ((nonzero[:, None] >> shifts) & 1) @ weights  # index in each permuted register
     rest = n - np.array([size for _, size in blocks], dtype=np.int64)
     rows, keys = (moved >> rest).T, (moved & ((1 << rest) - 1)).T
     tags = np.arange(len(blocks)) << n  # above every key, so one sort serves all blocks
@@ -183,23 +171,6 @@ def _amplitude_bits(amplitudes: np.ndarray) -> np.ndarray:
     return bits
 
 
-#: A state whose nonzero amplitudes number at most 2^N / GATHER_FILL has its
-#: block states gathered from those amplitudes; a denser one is transposed
-#: whole.  All-pairs blocks of random supports, gathered against transposed,
-#: best of 20 calls on a 2-CPU x86-64 host with OpenBLAS 0.3.31:
-#:
-#:     nonzero    2^N/64           2^N/32           2^N/16
-#:     N=10       0.092/0.108 ms   0.111/0.108 ms   0.129/0.107 ms
-#:     N=12       0.203/0.425 ms   0.279/0.432 ms   0.482/0.444 ms
-#:     N=14       0.674/1.933 ms   1.213/1.958 ms   2.655/1.946 ms
-#:     N=16       3.42/11.74 ms    8.10/12.09 ms    16.27/11.75 ms
-#:
-#: so the crossover is near 2^N/32, and 64 leaves a margin below it.  At
-#: N=8 gathering 4 amplitudes costs 0.055 ms against 0.036.  A dense N=14
-#: state takes 33 ms gathered.
-GATHER_FILL = 64
-
-
 def _reduced_entropies(state: StateVector,
                        groups: Sequence[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
     """Entropy in bits of `state` reduced to each label group, and each group's p1.
@@ -212,23 +183,18 @@ def _reduced_entropies(state: StateVector,
     one chunk takes a neighbouring chunk too; see `_block_positions`).
     Each block state is one m @ m^H, of at most 16x16 for sites and
     pairs, so an all-pairs pass on N qubits builds (ceil(N/2) choose 2)
-    block states, not one state per pair.  One `_amplitude_bits` pass
-    over the amplitudes finds the nonzero ones by an exact bit test, and
-    their count alone picks the builder.  When they are at most
-    2^N / `GATHER_FILL`, m holds only the columns with a nonzero
-    amplitude (`_gathered_blocks`): every pi3 snapshot at N=14 and N=16
-    has at most 106 and 137, and GHZ and propagate snapshots have 2.
-    Otherwise m is the block's rows of one transposed copy of all the
-    amplitudes (`_transposed_blocks`).
+    block states, not one state per pair.  m holds only the columns with
+    a nonzero amplitude (`_block_states`): every pi3 snapshot at N=14 and
+    N=16 has at most 106 and 137, and GHZ and propagate snapshots have 2.
     Each group's state is traced out of its block state with kept labels
     in register order, as in `partial_trace`: one einsum per (block
     size, kept positions) over the stacked block states, then one
-    eigvalsh per reduced-state size.  A group's block, and which builder
-    runs, depend only on its own positions and the state, so its entropy
-    is bitwise the same whatever else is requested.  The plan depends
-    only on N and the positions, so a run builds it once.  The state is
-    already validated and each reduced state is Hermitian with unit
-    trace, so only the sign of the spectrum is checked.
+    eigvalsh per reduced-state size.  A group's block depends only on
+    its own positions and the state, so its entropy is bitwise the same
+    whatever else is requested.  The plan depends only on N and the
+    positions, so a run builds it once.  The state is already validated
+    and each reduced state is Hermitian with unit trace, so only the sign
+    of the spectrum is checked.
     """
     import numpy as np
 
@@ -238,11 +204,7 @@ def _reduced_entropies(state: StateVector,
     where = {lab: p for p, lab in enumerate(state.labels)}
     positions = tuple(tuple(sorted(where[lab] for lab in group)) for group in groups)
     blocks, spectra = _block_plan(n, positions)
-    bits = _amplitude_bits(state.amplitudes)
-    if np.count_nonzero(bits) * GATHER_FILL > bits.size:
-        block_states = _transposed_blocks(state, blocks)
-    else:
-        block_states = _gathered_blocks(state, np.flatnonzero(bits), blocks)
+    block_states = _block_states(state, blocks)
     out, p1 = np.empty(len(groups)), np.full(len(groups), math.nan)
     for k, idx, parts in spectra:
         rdms = np.concatenate([

@@ -581,11 +581,10 @@ class TestReducedStatePasses:
         (("pi3", "--seed-site", 4, "--pairs", "all_pairs"), 17),
         (("propagate",), 10),
         (("ghz", "--pairs", "all_pairs"), 6),
-        # two passes per snapshot: block_report.json reads a second, register-only
-        # all-pairs field (ROADMAP item 21; a FOUND on cli._cmd_run in CHANGES.md).
-        # Reading the written field off that one makes these 6.
-        (("ghz",), 12),
-        (("ghz", "--pairs", "all_pairs", "--include-boundary"), 12),
+        # one all-pairs pass per snapshot serves both the written field, masked to
+        # neighbours or with the virtual labels, and the register-only block reports
+        (("ghz",), 6),
+        (("ghz", "--pairs", "all_pairs", "--include-boundary"), 6),
     ], ids=["pi3", "pi3-all-pairs", "propagate", "ghz-all-pairs", "ghz", "ghz-boundary"])
     def test_run_takes_one_pass_per_snapshot(self, tmp_path, argv, passes):
         experiment, *options = argv

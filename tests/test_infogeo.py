@@ -4,7 +4,6 @@ from __future__ import annotations
 import decimal
 import math
 from decimal import Decimal
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -352,62 +351,25 @@ class TestBlockPass:
                          unique=True).map(tuple)
         groups = data.draw(st.lists(group, min_size=1, max_size=12), label="groups")
         reduced = [partial_trace(state, g) for g in groups]
-        for fill in (1, 1 << 20):  # GATHER_FILL 1 gathers every state, 2^20 transposes it
-            with mock.patch.object(infogeo, "GATHER_FILL", fill):
-                entropies, p1 = infogeo._reduced_entropies(state, groups)
-                for g, s, p, rho in zip(groups, entropies, p1, reduced):
-                    assert abs(s - von_neumann_entropy(rho)) <= 1e-12
-                    if len(g) == 1:
-                        assert abs(p - rho.matrix[1, 1].real) <= 1e-12
-                    else:
-                        assert math.isnan(p)
-                    alone = np.concatenate(infogeo._reduced_entropies(state, [g]))
-                    assert np.array_equal(alone, [s, p], equal_nan=True)
-
-    def test_gathers_sparse_states_and_transposes_dense_ones(self):
-        sparse = StateVector(np.r_[1.0, np.zeros(254), 1.0] / math.sqrt(2))  # 2 * 64 <= 2^8
-        rng = np.random.default_rng(8)
-        dense = rng.normal(size=256) + 1j * rng.normal(size=256)
-        dense /= np.linalg.norm(dense)
-        dense_tail = StateVector(np.r_[np.zeros(128), dense[:128] / np.linalg.norm(dense[:128])])
-        for state, used, unused in ((sparse, "_gathered_blocks", "_transposed_blocks"),
-                                    (StateVector(dense), "_transposed_blocks", "_gathered_blocks"),
-                                    (dense_tail, "_transposed_blocks", "_gathered_blocks")):
-            with mock.patch.object(infogeo, used, wraps=getattr(infogeo, used)) as builder, \
-                    mock.patch.object(infogeo, unused, side_effect=AssertionError(unused)):
-                infogeo._reduced_entropies(state, [(0,), (0, 7)])
-            assert builder.call_count == 1
-
-    @pytest.mark.parametrize("tail", [False, True], ids=["head", "tail"])
-    @pytest.mark.parametrize("n, extra, gathers", [
-        (8, 0, True), (8, 1, False), (12, 0, True), (12, 1, False),
-        (4, 1, False), (5, 1, False),  # 2^N / 64 is 0, so even one amplitude transposes
-    ])
-    def test_the_count_alone_picks_the_builder(self, n, extra, gathers, tail):
-        """2^N / GATHER_FILL nonzero amplitudes gather and one more transposes, wherever they lie."""
-        count = (1 << n) // infogeo.GATHER_FILL + extra
-        rng = np.random.default_rng(100 * n + count)
-        amps = np.zeros(1 << n, dtype=complex)
-        where = slice((1 << n) - count, None) if tail else slice(0, count)
-        amps[where] = rng.normal(size=count) + 1j * rng.normal(size=count)
-        state = StateVector(amps / np.linalg.norm(amps))
-        groups = [(p,) for p in range(n)] + [(p, q) for p in range(n) for q in range(p + 1, n)]
-        with mock.patch.object(infogeo, "_gathered_blocks",
-                               wraps=infogeo._gathered_blocks) as gathered:
-            entropies, _ = infogeo._reduced_entropies(state, groups)
-        assert gathered.call_count == gathers
-        for group, s in zip(groups, entropies, strict=True):
-            assert abs(s - von_neumann_entropy(partial_trace(state, group))) <= 1e-12
+        entropies, p1 = infogeo._reduced_entropies(state, groups)
+        for g, s, p, rho in zip(groups, entropies, p1, reduced):
+            assert abs(s - von_neumann_entropy(rho)) <= 1e-12
+            if len(g) == 1:
+                assert abs(p - rho.matrix[1, 1].real) <= 1e-12
+            else:
+                assert math.isnan(p)
+            alone = np.concatenate(infogeo._reduced_entropies(state, [g]))
+            assert np.array_equal(alone, [s, p], equal_nan=True)
 
     def test_a_field_of_virtual_pairs_reads_no_block(self):
-        state = basis_state("00000000", labels=range(1, 9))  # one amplitude: gathered
+        state = basis_state("00000000", labels=range(1, 9))
         field = distance_field(state, pairs=[(0, 9)], include_boundary=True,
                                boundary_labels=(0, 9))
         assert field.value(0, 9) == 0.0 and field.site_entropies == {}
 
     @pytest.mark.parametrize("n", range(4, 13))
     def test_builders_agree_on_every_experiment_snapshot(self, n):
-        """Both block builders, on every pi3 (each seed site), GHZ and propagate snapshot."""
+        """Block states against `partial_trace` on every pi3, GHZ and propagate snapshot."""
         runs = [pi3_experiment(n, seed) for seed in range(1, n + 1)]
         if n % 2 == 0:  # GHZ and propagate need an even N
             runs += [ghz_experiment(n)[0],
@@ -417,11 +379,10 @@ class TestBlockPass:
             (p, q) for p in range(n) for q in range(p + 1, n)))
         for trace in runs:
             for _, state in trace.snapshots:
-                nonzero = np.flatnonzero(infogeo._amplitude_bits(state.amplitudes))
-                gathered = infogeo._gathered_blocks(state, nonzero, blocks)
-                transposed = infogeo._transposed_blocks(state, blocks)
-                for a, b in zip(gathered, transposed, strict=True):
-                    assert np.max(np.abs(a - b)) <= 1e-12
+                for (order, size), rho in zip(blocks, infogeo._block_states(state, blocks),
+                                              strict=True):
+                    expect = partial_trace(state, [state.labels[p] for p in order[:size]])
+                    assert np.max(np.abs(rho - expect.matrix)) <= 1e-12
 
     def test_all_pairs_builds_one_block_per_pair_of_chunks(self):
         groups = tuple((p,) for p in range(14)) + tuple(
@@ -686,16 +647,14 @@ class TestSiteP1:
                     assert field.site_p1 == oracle
 
     def test_gathered_and_transposed_states_agree_with_the_direct_sum(self):
-        # pi3 snapshots at N=14 hold at most 106 <= 2^14 / GATHER_FILL nonzero amplitudes
+        # sparse pi3 snapshots (at most 106 nonzero amplitudes at N=14) and dense random states
         pi3 = [state for seed in (1, 7, 14) for _, state in pi3_experiment(14, seed).snapshots]
         dense = [random_state(n) for n in (2, 5, 8, 11)]
-        for states, unused in ((pi3, "_transposed_blocks"), (dense, "_gathered_blocks")):
-            with mock.patch.object(infogeo, unused, side_effect=AssertionError(unused)):
-                for state in states:
-                    oracle = occupation_oracle(state)
-                    p1 = distance_field(state).site_p1
-                    assert p1.keys() == oracle.keys()
-                    assert all(abs(p1[q] - oracle[q]) <= 1e-15 for q in oracle)
+        for state in pi3 + dense:
+            oracle = occupation_oracle(state)
+            p1 = distance_field(state).site_p1
+            assert p1.keys() == oracle.keys()
+            assert all(abs(p1[q] - oracle[q]) <= 1e-15 for q in oracle)
 
 
 def test_triangle_inequality_search_is_recorded_only():

@@ -3,7 +3,8 @@
 The commands run in process through `cli.main`.  The manifest,
 `tests/data/outputs.sha256`, holds one `<sha256>  <out dir>/<file>` line
 per output, `<out dir>/stdout` for the printed text, and a first line
-naming the Python and numpy versions it was made with.  A change that
+naming the Python and numpy versions it was made with, and the kernel
+core of numpy's OpenBLAS: the written floats depend on it.  A change that
 alters outputs on purpose rewrites it with
 
     PYTHONPATH=src python -m tests.regen_outputs
@@ -13,6 +14,7 @@ and lists in CHANGES.md every file whose digest changed, and why.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import platform
@@ -54,8 +56,22 @@ COMMANDS = (
 )
 
 
+def openblas_core() -> str:
+    """The kernel core of numpy's bundled OpenBLAS, such as SkylakeX, or "unknown"."""
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs")
+                      .glob("libscipy_openblas64_*.so")):
+        try:  # the library numpy has loaded, so the core it picked
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
 def versions() -> str:
-    return f"python {platform.python_version()}, numpy {np.__version__}"
+    return (f"python {platform.python_version()}, numpy {np.__version__}, "
+            f"openblas {openblas_core()}")
 
 
 def output_digests(root: Path) -> dict[str, str]:
@@ -84,6 +100,11 @@ def write_manifest() -> None:
         digests = output_digests(Path(root))
     MANIFEST.write_text("".join([f"# {versions()}\n"] +
                                 [f"{digests[k]}  {k}\n" for k in sorted(digests)]))
+
+
+def test_openblas_core_is_unknown_without_the_library(tmp_path, monkeypatch):
+    monkeypatch.setattr(np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+    assert openblas_core() == "unknown"
 
 
 def test_outputs_match_the_manifest(tmp_path):
