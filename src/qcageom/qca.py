@@ -12,9 +12,11 @@ A gate record lists the target's register neighbors as its controls, and
 one kernel applies every record: a neighbor that is not a control reads
 as bit 0, so site 1 applies u0/u1 by its right bit and site N u0/u2 by
 its left bit; a phase correction has no controls, so it applies u0.  One
-loop, `_evolve`, applies every layer, phase layers included, through the
-kernel from the records it stores, so the causal poset is built from the
-gates that were applied, and no gate calls BLAS.
+builder, `_layers`, makes the layer records of every run, `(B A)* [B]
+[phase]`, and the trace reader rebuilds them with it.  One loop,
+`_evolve`, applies those records through the kernel, taking each layer's
+rule from its species, so the causal poset is built from the gates that
+were applied, and no gate calls BLAS.
 
 Rules, configs, records, traces and `run(..., snapshots=False)` need no
 numpy: numpy and `statealg` are imported by the functions that build,
@@ -323,21 +325,6 @@ class RunTrace(Record, eq=False):
         return self.snapshots[layers.index(layer)][1]
 
 
-def _control_sites(site: int, n_sites: int) -> tuple[int, ...]:
-    if site == 1:
-        return (2,)
-    if site == n_sites:
-        return (n_sites - 1,)
-    return (site - 1, site + 1)
-
-
-def _species_gates(config: QcaConfig, species: str) -> tuple[GateRecord, ...]:
-    return tuple(
-        GateRecord(s, _control_sites(s, config.n_sites))
-        for s in config.species_sites(species)
-    )
-
-
 def _controlled_update(psi: np.ndarray, coef: np.ndarray, gate: GateRecord,
                        out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """Write u_{2l+r} applied to `gate.target` of the register amplitudes `psi` into `out`.
@@ -397,7 +384,7 @@ def initial_state(config: QcaConfig, seeds: dict[int, np.ndarray] | None = None)
     """All-|0> register with optional single-site seeds, each a unit vector."""
     from .statealg import product_state
 
-    seeds = seeds or {}
+    seeds = {_integer(site, "seed site"): qubit for site, qubit in (seeds or {}).items()}
     for site in seeds:
         if site not in config.register_sites:
             raise ValueError(f"cannot seed non-register site {site}")
@@ -405,26 +392,24 @@ def initial_state(config: QcaConfig, seeds: dict[int, np.ndarray] | None = None)
     return product_state(qubits, config.register_sites)
 
 
-def _species_layers(config: QcaConfig, species: str) -> list:
-    """One `(species, rule, gates)` layer per letter of `species`; one species, one gate tuple.
+def _layers(config: QcaConfig, n_rule: int,
+            phase_site: int | None = None) -> tuple[LayerRecord, ...]:
+    """The layers of a run: `n_rule` rule layers, B first, then a phase gate on `phase_site`.
 
-    The gates run in ascending site order, which the trace format pins.
-    Same-species gates commute (controls act diagonally, and no gate
-    targets another's control), so that order does not change the state.
+    A rule layer's gates run in ascending site order, which the trace
+    format pins.  Same-species gates commute (controls act diagonally, and
+    no gate targets another's control), so that order does not change the
+    state.  A rule gate's controls are its register neighbors; the phase
+    gate has none, so the kernel applies its u0.
     """
-    gates = {s: _species_gates(config, s) for s in set(species)}
-    return [(s, config.rule, gates[s]) for s in species]
-
-
-def _phase_layer(site: int, u):
-    """A single-qubit correction as a gate with no controls: the kernel applies u0 = u."""
-    return ("phase", UpdateRule(u, u, u, u, name="phase"),
-            (GateRecord(target=site, controls=(), kind="phase"),))
-
-
-def _layer_records(schedule: list) -> tuple[LayerRecord, ...]:
-    return tuple(LayerRecord(index, species, gates)
-                 for index, (species, _, gates) in enumerate(schedule, start=1))
+    n = config.n_sites
+    gates = {s: tuple(GateRecord(t, tuple(c for c in (t - 1, t + 1) if 1 <= c <= n))
+                      for t in config.species_sites(s)) for s in "BA"}
+    layers = [LayerRecord(index, s, gates[s])
+              for index, s in enumerate(("BA" * n_rule)[:n_rule], start=1)]
+    if phase_site is not None:
+        layers.append(LayerRecord(n_rule + 1, "phase", (GateRecord(phase_site, (), "phase"),)))
+    return tuple(layers)
 
 
 def _snapshot_layers(layers: tuple[LayerRecord, ...], record: str) -> list[int]:
@@ -432,27 +417,34 @@ def _snapshot_layers(layers: tuple[LayerRecord, ...], record: str) -> list[int]:
     return [0] + [l.index for l in layers if record == "per_species_layer" or l.species == "A"]
 
 
-def _evolve(config: QcaConfig, state: StateVector, schedule: list,
-            record: str = "per_species_layer") -> RunTrace:
-    """Apply `(species, rule, gates)` layers to `state`; record each, and snapshots.
+def _evolve(config: QcaConfig, state: StateVector, layers: tuple[LayerRecord, ...],
+            record: str = "per_species_layer", phase=None) -> RunTrace:
+    """Apply `layers` to `state`; record them, and snapshots.
 
-    Gates write alternately into two buffers made once per run, by a count
-    over the run: a layer may have an odd number of gates, and no gate may
-    write the buffer it reads.  Only a recorded layer becomes a StateVector.
+    A layer's rule follows from its species: the config's rule for A and
+    B, and for a phase layer the correction `phase`, a 2x2 unitary, which
+    is checked here.  Gates write alternately into two buffers made once
+    per run, by a count over the run: a layer may have an odd number of
+    gates, and no gate may write the buffer it reads.  Only a recorded
+    layer becomes a StateVector.
     """
     import numpy as np
 
     from .statealg import StateVector
 
-    layers = _layer_records(schedule)
+    rules = {"A": config.rule, "B": config.rule}
+    if phase is not None:
+        rules["phase"] = UpdateRule(phase, phase, phase, phase, name="phase")
+    coefs = {species: np.array(rule.unitaries).reshape(2, 2, 2, 2).transpose(3, 0, 2, 1)
+             for species, rule in rules.items()}
     kept = set(_snapshot_layers(layers, record))
     snapshots: list[tuple[int, StateVector]] = [(0, state)]
     psi = state.amplitudes
     buffers = (np.empty_like(psi), np.empty_like(psi))
     scratch = np.empty_like(psi)
     applied = 0
-    for layer, (_, rule, _) in zip(layers, schedule):
-        coef = np.array(rule.unitaries).reshape(2, 2, 2, 2).transpose(3, 0, 2, 1)
+    for layer in layers:
+        coef = coefs[layer.species]
         for gate in layer.gates:
             psi = _controlled_update(psi, coef, gate, buffers[applied % 2], scratch)
             applied += 1
@@ -478,16 +470,15 @@ def run(
         raise ValueError("global_steps must be >= 0")
     if record not in ("per_species_layer", "per_global_step"):
         raise ValueError(f"unknown record granularity {record!r}")
-    schedule = _species_layers(config, "BA" * global_steps)
+    layers = _layers(config, 2 * global_steps)
     if not snapshots:
         if initial is not None:
             raise ValueError("an initial state is evolved only with snapshots=True")
-        return RunTrace(config=config, granularity=record, layers=_layer_records(schedule),
-                        snapshots=())
+        return RunTrace(config=config, granularity=record, layers=layers, snapshots=())
     state = initial if initial is not None else initial_state(config)
     if state.labels != config.register_sites:
         raise ValueError("initial state labels do not match the register")
-    return _evolve(config, state, schedule, record)
+    return _evolve(config, state, layers, record)
 
 
 def propagate_experiment(n_sites: int, psi: np.ndarray) -> tuple[RunTrace, float]:
@@ -504,9 +495,8 @@ def propagate_experiment(n_sites: int, psi: np.ndarray) -> tuple[RunTrace, float
         raise ValueError("propagation requires an even number of sites")
     config = QcaConfig(n_sites=n_sites, rule=PULSE_RULE, b_parity="even")
     psi = unit_qubit(psi)
-    schedule = (_species_layers(config, "BA" * (n_sites // 2))
-                + [_phase_layer(n_sites, _PROPAGATION_PHASE)])
-    trace = _evolve(config, initial_state(config, {1: psi}), schedule)
+    layers = _layers(config, n_sites, phase_site=n_sites)
+    trace = _evolve(config, initial_state(config, {1: psi}), layers, phase=_PROPAGATION_PHASE)
     final = trace.snapshots[-1][1]
     rho_n = partial_trace(final, {n_sites}).matrix
     fid = float((psi.conj() @ rho_n @ psi).real)
@@ -521,12 +511,12 @@ def ghz_seed_site(n_sites: int) -> int:
 def ghz_experiment(n_sites: int) -> tuple[RunTrace, float]:
     """Grow an N-qubit GHZ state from one |+> seed.
 
-    Seeds q_{N/2} and runs k = N/4 global updates when N mod 4 = 0; seeds
-    q_{N/2+1}, runs k = (N-2)/4 global updates plus one extra B layer when
-    N mod 4 = 2.  A single-qubit phase correction exp(s*i*pi/4*sigma_z) on
-    the seeded site then lands on the GHZ state exactly; s = (-1)^k for
-    the first branch and -(-1)^k for the second (the extra B layer flips
-    the accumulated phase parity).
+    Seeds `ghz_seed_site(N)` and runs N/2 rule layers, B first: N/4 global
+    updates when N mod 4 = 0, and (N-2)/4 plus one B layer when N mod 4 =
+    2.  A single-qubit phase correction exp(s*i*pi/4*sigma_z) on the
+    seeded site then lands on the GHZ state exactly; s = (-1)^b, where b =
+    ceil(N/4) is the number of B layers, each of which flips the
+    accumulated phase parity.
     """
     import numpy as np
 
@@ -534,12 +524,11 @@ def ghz_experiment(n_sites: int) -> tuple[RunTrace, float]:
         raise ValueError("GHZ generation requires even N >= 4")
     config = QcaConfig(n_sites=n_sites, rule=PULSE_RULE, b_parity="odd")
     seed_site = ghz_seed_site(n_sites)
-    k, extra_b = n_sites // 4, n_sites % 4 == 2
-    sign = (-1) ** k * (-1 if extra_b else 1)
+    sign = (-1) ** ((n_sites // 2 + 1) // 2)
     correction = np.diag([np.exp(sign * 1j * math.pi / 4), np.exp(-sign * 1j * math.pi / 4)])
-    schedule = (_species_layers(config, "BA" * k + ("B" if extra_b else ""))
-                + [_phase_layer(seed_site, correction)])
-    trace = _evolve(config, initial_state(config, {seed_site: KET_PLUS}), schedule)
+    layers = _layers(config, n_sites // 2, phase_site=seed_site)
+    trace = _evolve(config, initial_state(config, {seed_site: KET_PLUS}), layers,
+                    phase=correction)
     # the target holds 1/sqrt(2) at |0...0> and |1...1> only
     amps = trace.snapshots[-1][1].amplitudes
     return trace, float(abs(amps[0] + amps[-1]) ** 2 / 2)
@@ -553,6 +542,7 @@ def pi3_experiment(
 ) -> RunTrace:
     """Entanglement diffusion: the pi/3 rule on a single |+> seed."""
     config = QcaConfig(n_sites=n_sites, rule=PI3_RULE, b_parity="odd")
+    seed_site = _integer(seed_site, "seed site")
     if not 1 <= seed_site <= n_sites:
         raise ValueError(f"seed site {seed_site} out of range")
     steps = n_sites if global_steps is None else global_steps

@@ -1,16 +1,16 @@
 """The trace reader: `qcageom-trace-v2` files back into `RunTrace`s.
 
 Reading a trace checks the format, the config, its rule matrices and the
-labels.  The layers follow from the config: `qca`'s schedule builders
-make them, `(B A)* [B] [phase]`, from the layer count, whether the last
-is a phase layer, and its target, and each layer read must be exactly
-the JSON that the writer makes of its record.  A "snapshots" key must
-hold snapshots where `qca` records them, each with `amplitudes_b64` a
-string of exactly the base64 length of its amplitudes.  A snapshot's
-amplitudes are decoded only when the snapshot is read, and each read
-decodes it again: the base64 itself, finiteness and the norm are checked
-then.  So `topology --trace` reads no amplitudes, and `distance-matrix`
-reads one snapshot.
+labels.  The layers follow from the config: `qca._layers`, which makes
+every run's layers, `(B A)* [B] [phase]`, builds them from the count of
+rule layers and the target of a last phase layer, and each layer read
+must be exactly the JSON that the writer makes of its record.  A
+"snapshots" key must hold snapshots where `qca` records them, each with
+`amplitudes_b64` a string of exactly the base64 length of its
+amplitudes.  A snapshot's amplitudes are decoded only when the snapshot
+is read, and each read decodes it again: the base64 itself, finiteness
+and the norm are checked then.  So `topology --trace` reads no
+amplitudes, and `distance-matrix` reads one snapshot.
 
 `load_trace` reads a file in one of two ways.  A file laid out as
 `exports.save_trace` writes it is checked against that layout: its head,
@@ -39,8 +39,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .exports import _SNAPSHOTS_OPEN, TRACE_FORMAT, _layer_json, _snapshot_frame
-from .qca import (IDENTITY_2, MAX_QUBITS, Matrix2, QcaConfig, RunTrace, UpdateRule,
-                  _layer_records, _phase_layer, _snapshot_layers, _species_layers)
+from .qca import MAX_QUBITS, Matrix2, QcaConfig, RunTrace, UpdateRule, _layers, _snapshot_layers
 
 if TYPE_CHECKING:
     from .statealg import StateVector
@@ -179,12 +178,10 @@ def _trace_from_fields(obj: dict) -> RunTrace:
     if obj["labels"] != labels:
         raise ValueError(f"malformed trace: labels {obj['labels']!r}, expected {labels}")
     species = [l["species"] for l in obj["layers"]]
-    n_rule = len(species) - (species[-1:] == ["phase"])
-    schedule = _species_layers(config, ("BA" * n_rule)[:n_rule])  # (B A)* [B]
+    n_rule, target = len(species) - (species[-1:] == ["phase"]), None
     if n_rule < len(species):
         target = _int(obj["layers"][-1]["gates"][0]["target"], "phase target", 1, n)
-        schedule.append(_phase_layer(target, IDENTITY_2))  # a record holds no rule
-    layers = _layer_records(schedule)
+    layers = _layers(config, n_rule, target)
     for index, (found, want) in enumerate(zip(obj["layers"], layers), start=1):
         _int(found["index"], "layer index", index, index)  # named here; the compare checks it too
         if not _same_json(found, _layer_json(want)):

@@ -28,6 +28,7 @@ from qcageom.qca import (
     RunTrace,
     UpdateRule,
     initial_state,
+    propagate_experiment,
     run,
 )
 from qcageom.statealg import partial_trace
@@ -442,6 +443,22 @@ class TestLightCone:
                     assert np.max(np.abs(np.diagonal(ra - rb))) <= 1e-12
                     outside_poset += 1
         assert outside_poset > 0
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
+    def test_seed_change_stays_in_cone_over_a_phase_layer(self, n):
+        a, _ = propagate_experiment(n, (0.6 + 0.2j, 0.3 - 0.7j))
+        b, _ = propagate_experiment(n, (1, 0))
+        assert a.layers[-1].species == "phase"
+        poset = build_poset(a)
+        outside_poset = 0
+        for (layer, sa), (_, sb) in zip(a.snapshots, b.snapshots):
+            for x in a.config.register_sites:
+                if Wire(1, 0) not in poset.ancestors(Wire(x, layer)):
+                    ra, rb = partial_trace(sa, {x}).matrix, partial_trace(sb, {x}).matrix
+                    assert np.max(np.abs(np.diagonal(ra - rb))) <= 1e-12
+                    outside_poset += 1
+        # the cone of site 1 gains a site per layer until it holds the register at layer N - 1
+        assert outside_poset == n * (n - 1) // 2
 
     def test_coherence_kicked_back_onto_control(self):
         # pi3 rule, N=2: site 1 is the target, site 2 (in |+>) its control.

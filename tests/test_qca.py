@@ -14,6 +14,7 @@ from qcageom.qca import (
     QcaConfig,
     UpdateRule,
     ghz_experiment,
+    ghz_seed_site,
     initial_state,
     pi3_experiment,
     propagate_experiment,
@@ -93,7 +94,8 @@ def near_unitaries(draw) -> np.ndarray:
 
 def species_update(state: StateVector, config: QcaConfig, species: str) -> StateVector:
     """One species layer of `config`'s rule, through the loop that every run uses."""
-    return qca._evolve(config, state, qca._species_layers(config, species)).snapshots[-1][1]
+    layer = next(l for l in qca._layers(config, 2) if l.species == species)
+    return qca._evolve(config, state, (layer,)).snapshots[-1][1]
 
 
 def global_update(state: StateVector, config: QcaConfig) -> StateVector:
@@ -152,8 +154,13 @@ def register_part(amps: np.ndarray) -> np.ndarray:
 
 class TestUpdateRule:
     def test_rejects_non_unitary(self):
+        shear = np.array([[1, 1], [0, 1]], dtype=complex)
         with pytest.raises(ValueError):
-            UpdateRule(I2, I2, I2, np.array([[1, 1], [0, 1]], dtype=complex))
+            UpdateRule(I2, I2, I2, shear)
+        # a phase correction is checked as the rule of its layer
+        config = QcaConfig(n_sites=4, rule=PULSE_RULE)
+        with pytest.raises(ValueError, match="not a 2x2 unitary"):
+            qca._evolve(config, initial_state(config), qca._layers(config, 2, 3), phase=shear)
 
     @pytest.mark.parametrize("entry", [math.inf, math.nan, 1e308, 1e200j])
     def test_rejects_entries_past_modulus_one(self, entry):
@@ -429,21 +436,26 @@ class TestRun:
         u0 = I2 if u0_is_identity else random_su2(rng)
         rule = UpdateRule(u0, random_su2(rng), random_su2(rng), random_su2(rng))
         config = QcaConfig(n_sites=n, rule=rule, b_parity=parity)
-        schedule = qca._species_layers(config, species)
         at, site = phase
-        schedule.insert(min(at, len(schedule)), qca._phase_layer(min(site, n), random_su2(rng)))
+        by_species = {l.species: l for l in qca._layers(config, 2)}
+        by_species["phase"] = qca._layers(config, 0, min(site, n))[0]
+        kinds = list(species)
+        kinds.insert(min(at, len(kinds)), "phase")
+        layers = tuple(by_species[k].replace(index=i) for i, k in enumerate(kinds, start=1))
+        u = random_su2(rng)
         state = random_register_state(config, rng)
 
+        unitaries = {"A": rule.unitaries, "B": rule.unitaries, "phase": (u, u, u, u)}
         psi, expected = state.amplitudes, [(0, state.amplitudes)]
-        for index, (kind, layer_rule, gates) in enumerate(schedule, start=1):
-            coef = np.array(layer_rule.unitaries).reshape(2, 2, 2, 2).transpose(3, 0, 2, 1)
-            for gate in gates:
+        for layer in layers:
+            coef = np.array(unitaries[layer.species]).reshape(2, 2, 2, 2).transpose(3, 0, 2, 1)
+            for gate in layer.gates:
                 psi = qca._controlled_update(psi, coef, gate, np.empty_like(psi),
                                              np.empty_like(psi))
-            if record == "per_species_layer" or kind == "A":
-                expected.append((index, psi))
+            if record == "per_species_layer" or layer.species == "A":
+                expected.append((layer.index, psi))
 
-        got = qca._evolve(config, state, schedule, record).snapshots
+        got = qca._evolve(config, state, layers, record, phase=u).snapshots
         assert [layer for layer, _ in got] == [layer for layer, _ in expected]
         for (_, snapshot), (_, amps) in zip(got, expected):
             assert np.array_equal(snapshot.amplitudes.view(np.uint64), amps.view(np.uint64))
@@ -453,8 +465,8 @@ class TestRun:
         coef = np.array(config.rule.unitaries).reshape(2, 2, 2, 2).transpose(3, 0, 2, 1)
         psi = random_register_state(config).amplitudes
         out, scratch = np.empty_like(psi), np.empty_like(psi)
-        for species in ("B", "A"):
-            for gate in qca._species_gates(config, species):
+        for layer in qca._layers(config, 2):
+            for gate in layer.gates:
                 t = gate.target
                 left = 2 if t - 1 in gate.controls else 1
                 right = 2 if t + 1 in gate.controls else 1
@@ -538,8 +550,13 @@ class TestIntegerArguments:
         lambda: ghz_experiment(4.0),
         lambda: propagate_experiment(4.0, np.array([1, 0])),
         lambda: pi3_experiment(4.0, 2, 1),
+        lambda: pi3_experiment(6, True, 1),
+        lambda: pi3_experiment(6, 2.0, 1),
+        lambda: initial_state(TestIntegerArguments.CONFIG, {True: qca.KET_PLUS}),
+        lambda: initial_state(TestIntegerArguments.CONFIG, {2.0: qca.KET_PLUS}),
     ], ids=["config-float", "config-integral-float", "config-str", "config-bool", "run-float",
-            "run-bool", "run-str", "ghz-float", "propagate-float", "pi3-float"])
+            "run-bool", "run-str", "ghz-float", "propagate-float", "pi3-float", "pi3-seed-bool",
+            "pi3-seed-float", "initial-state-bool-key", "initial-state-float-key"])
     def test_non_integer_rejected(self, call):
         with pytest.raises(ValueError, match="is not an integer"):
             call()
@@ -553,11 +570,16 @@ class TestIntegerArguments:
 @pytest.mark.parametrize("n", range(4, 17, 2))
 def test_pulse_experiments_keep_two_amplitudes(n):
     # the pulse rule and both corrections map each basis branch to one basis state
-    for trace, fid in (propagate_experiment(n, np.array([0.6 + 0.2j, 0.3 - 0.7j])),
-                       ghz_experiment(n)):
+    for (trace, fid), n_rule, phase_site in (
+        (propagate_experiment(n, np.array([0.6 + 0.2j, 0.3 - 0.7j])), n, n),
+        (ghz_experiment(n), n // 2, ghz_seed_site(n)),
+    ):
         for _, state in trace.snapshots:
             assert np.count_nonzero(state.amplitudes) == 2
         assert abs(fid - 1.0) <= 1e-15
+        # rule layers B first, then one phase gate with no controls
+        assert [l.species for l in trace.layers] == [*("BA" * n)[:n_rule], "phase"]
+        assert trace.layers[-1].gates == (qca.GateRecord(phase_site, (), "phase"),)
 
 
 class TestPropagation:
