@@ -17,7 +17,6 @@ _EXPORTS = {
         "StateVector",
         "apply_unitary",
         "basis_state",
-        "fidelity",
         "partial_trace",
         "ppt_separable_2q",
         "product_state",
@@ -55,7 +54,6 @@ _EXPORTS = {
         "ThickenedAntiChain",
         "Wire",
         "build_poset",
-        "foliate",
         "slice_antichain",
         "thicken",
     ), "causal"),

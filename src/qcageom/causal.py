@@ -1,4 +1,4 @@
-"""Causal poset of a QCA run: wires, gates, cones, slices, thickening.
+"""Causal poset of a QCA run: wires, gates, past cones, slices, thickening.
 
 `CausalPoset` holds any covers that respect the layer order.  The poset
 of a run, which `build_poset` makes, is bipartite: wire nodes are the
@@ -64,12 +64,12 @@ class CausalPoset:
     order are accepted, wire-to-wire and skip-level covers included; only
     the posets of `build_poset` are bipartite.
     The order is the reflexive-transitive closure of the covers, and it is
-    never stored: a node's cones, its ancestors and its descendants, are
-    traversals of the covers, made per query, so memory stays linear in
-    the nodes and covers.  The order, the anti-chain tests and thickening
-    all traverse the covers; the views `wires`, `gates` and `n_layers` are
-    computed once.  A trace of L layers on N sites gives (N+2)(2L+1)
-    nodes, 18,450 at the CLI's caps (N=16, 256 steps, L=512).
+    never stored: x <= y exactly when x is in `ancestors(y)`, a traversal
+    of the covers made per query, so memory stays linear in the nodes and
+    covers.  The anti-chain tests and thickening traverse the covers too;
+    the views `wires`, `gates` and `n_layers` are computed once.  A trace
+    of L layers on N sites gives (N+2)(2L+1) nodes, 18,450 at the CLI's
+    caps (N=16, 256 steps, L=512).
     """
 
     def __init__(self, nodes: Iterable[Node], covers: Iterable[tuple[Node, Node]]):
@@ -106,17 +106,9 @@ class CausalPoset:
                     stack.append(j)
         return reached
 
-    def leq(self, x: Node, y: Node) -> bool:
-        """x precedes-or-equals y."""
-        return self._require(y) in self._cone([self._require(x)], self._succ)
-
     def ancestors(self, node: Node) -> frozenset[Node]:
         """All y with y <= node, including node itself."""
         return frozenset(self.nodes[i] for i in self._cone([self._require(node)], self._pred))
-
-    def descendants(self, node: Node) -> frozenset[Node]:
-        """All y with node <= y, including node itself."""
-        return frozenset(self.nodes[i] for i in self._cone([self._require(node)], self._succ))
 
     def covers(self) -> list[tuple[Node, Node]]:
         return [
@@ -207,11 +199,6 @@ def slice_antichain(poset: CausalPoset, layer: int) -> AntiChain:
     if not poset.is_maximal_antichain(nodes):
         raise ValueError(f"wires of layer {layer} do not form a maximal anti-chain")
     return AntiChain(nodes)
-
-
-def foliate(poset: CausalPoset) -> list[AntiChain]:
-    """All layer slices in time order: disjoint and jointly covering."""
-    return [slice_antichain(poset, layer) for layer in range(poset.n_layers + 1)]
 
 
 def thicken(poset: CausalPoset, base: AntiChain, i: int) -> ThickenedAntiChain:

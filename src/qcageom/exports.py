@@ -79,7 +79,8 @@ def distance_field_csv(field: DistanceField) -> str:
 
 
 def distance_field_json_obj(field: DistanceField) -> dict:
-    values = [[None if math.isnan(v) else float(v) for v in row] for row in field.values]
+    """The field with each computed value at the CSV's 12 digits, and null where NaN."""
+    values = [[None if math.isnan(v) else float(fmt12(v)) for v in row] for row in field.values]
     return {"time_step": field.time_step, "labels": list(field.labels), "values": values}
 
 

@@ -260,37 +260,27 @@ class DistanceField(Record, eq=False):
         object.__setattr__(self, "site_entropies", dict(self.site_entropies or {}))
         object.__setattr__(self, "site_p1", dict(self.site_p1 or {}))
 
-    def value(self, a: int, b: int) -> float:
-        return float(self.values[self.labels.index(a), self.labels.index(b)])
 
-
-def _select_pairs(labels: tuple[int, ...], pairs) -> list[tuple[int, int]]:
+def _select_pairs(labels: tuple[int, ...], pairs: str) -> list[tuple[int, int]]:
+    """The label pairs of a named selection, each in label order."""
     if pairs == "all_pairs":
         return [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:]]
     if pairs == "nearest_neighbor":
         return [(labels[i], labels[i + 1]) for i in range(len(labels) - 1)]
-    chosen = []
-    for a, b in pairs:
-        if a == b or a not in labels or b not in labels:
-            raise ValueError(f"bad pair ({a!r}, {b!r})")
-        chosen.append((a, b))
-    if not chosen:
-        raise ValueError("empty pair selection")
-    return chosen
+    raise ValueError(f"pairs must be 'all_pairs' or 'nearest_neighbor', not {pairs!r}")
 
 
 def distance_field(
     state: StateVector,
-    pairs="all_pairs",
+    pairs: str = "all_pairs",
     include_boundary: bool = False,
     boundary_labels: Iterable[int] = (),
     time_step: int = 0,
 ) -> DistanceField:
     """Pairwise information distances from 2-qubit reductions of a pure state.
 
-    `pairs` is "all_pairs", "nearest_neighbor" (chain adjacency in label
-    order), or an explicit iterable of label pairs, e.g. the edge set of a
-    slice complex.  Boundary labels are dropped unless `include_boundary`.
+    `pairs` is "all_pairs" or "nearest_neighbor" (chain adjacency in label
+    order).  Boundary labels are dropped unless `include_boundary`.
     A boundary label absent from the state is a virtual |0> qubit at the
     chain end it bounds: it adds no entropy, so its distance to x is S(x).
     A distance or site entropy within `ENTROPY_FLOOR` (1e-12 bits) of zero

@@ -21,7 +21,7 @@ BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 #: The names the package exports, by defining module.
 EXPORTS = {
     "statealg": ["DensityMatrix", "InvariantError", "StateVector", "apply_unitary",
-                 "basis_state", "fidelity", "partial_trace", "ppt_separable_2q",
+                 "basis_state", "partial_trace", "ppt_separable_2q",
                  "product_state", "von_neumann_entropy"],
     "infogeo": ["DistanceField", "SweepCurve", "block_structure_report", "distance_field",
                 "info_distance", "pure_family_sweep", "site_entropies",
@@ -30,7 +30,7 @@ EXPORTS = {
             "ghz_experiment", "initial_state", "pi3_experiment", "propagate_experiment", "run",
             "x_pulse_rule"],
     "causal": ["AntiChain", "CausalPoset", "Gate", "ThickenedAntiChain", "Wire",
-               "build_poset", "foliate", "slice_antichain", "thicken"],
+               "build_poset", "slice_antichain", "thicken"],
     "topo": ["SimplicialComplex", "betti", "boundary_rank", "shadow_complex",
              "stable_complex", "unitary_shadow_complex"],
 }

@@ -79,6 +79,12 @@ class TestDistanceFieldFiles:
         assert obj["values"][0][1] == -2.0
         json.dumps(obj)  # must be serializable
 
+    def test_json_writes_the_csv_digits(self):
+        third = 1 / 3 + 4e-16  # differs from 1/3 only beyond 12 digits
+        vals = np.array([[0.0, third], [third, 0.0]])
+        obj = exports.distance_field_json_obj(DistanceField(0, (1, 2), vals))
+        assert obj["values"][0][1] == float(exports.fmt12(1 / 3)) == 0.333333333333
+
 
 class TestSweepCsv:
     def test_endpoint_rows(self):

@@ -58,6 +58,11 @@ def computed_pairs(field: DistanceField) -> list[tuple[int, int]]:
             if not math.isnan(field.values[i, j])]
 
 
+def value(field: DistanceField, a: int, b: int) -> float:
+    """The field's distance between labels a and b."""
+    return float(field.values[field.labels.index(a), field.labels.index(b)])
+
+
 def pure_family_state(z: float) -> StateVector:
     """sqrt(1-z)|00> + sqrt(z)(|01>+|10>), normalized by 1/sqrt(1+z).
 
@@ -159,12 +164,12 @@ class TestDistanceField:
 
     def test_bell_tensor_zero(self):
         state = StateVector(np.kron(bell_plus().amplitudes, [1, 0]))
-        field = distance_field(state, pairs=[(0, 1), (1, 2)])
-        assert field.value(0, 1) == pytest.approx(-2.0, abs=1e-9)
+        field = distance_field(state, pairs="nearest_neighbor")
+        assert value(field, 0, 1) == pytest.approx(-2.0, abs=1e-9)
         # Marginal of (1,2) is I/2 (x) |0><0|: S(AB)=1, S(1)=1, S(2)=0,
         # so the distance is +1 (uncorrelated but mixed joint).
-        assert field.value(1, 2) == pytest.approx(1.0, abs=1e-9)
-        assert math.isnan(field.value(0, 2))
+        assert value(field, 1, 2) == pytest.approx(1.0, abs=1e-9)
+        assert math.isnan(value(field, 0, 2))
 
     @pytest.mark.parametrize("n", [4, 6, 8, 10, 12])
     def test_ghz_snapshots_are_written_in_closed_form(self, n):
@@ -219,13 +224,13 @@ class TestDistanceField:
 
     def test_floor_keeps_the_sign_of_a_negative_distance(self):
         field = distance_field(bell_plus(), pairs="all_pairs")
-        assert exports.fmt12(field.value(0, 1)) == "-2"
+        assert exports.fmt12(value(field, 0, 1)) == "-2"
 
     def test_sentinel_and_diagonal(self):
-        field = distance_field(random_state(3), pairs=[(0, 1)])
+        field = distance_field(random_state(3), pairs="nearest_neighbor")
         assert np.all(np.diagonal(field.values) == 0.0)
-        assert math.isnan(field.value(1, 2))
-        assert not math.isnan(field.value(0, 1))
+        assert math.isnan(value(field, 0, 2))
+        assert not math.isnan(value(field, 0, 1))
 
     def test_boundary_exclusion(self):
         state = random_state(4)
@@ -243,30 +248,32 @@ class TestDistanceField:
         register = StateVector(register.amplitudes, tuple(range(1, n + 1)))
         stored = StateVector(np.kron(np.kron([1, 0], register.amplitudes), [1, 0]),
                              tuple(range(n + 2)))
-        explicit = [(0, n + 1), (n + 1, 1), (1, n)]
-        for pairs in ("all_pairs", "nearest_neighbor", explicit):
+        for pairs in ("all_pairs", "nearest_neighbor"):
             for include_boundary in (False, True):
                 kwargs = dict(pairs=pairs, include_boundary=include_boundary,
                               boundary_labels=(0, n + 1))
-                if pairs is explicit and not include_boundary:
-                    continue
                 virtual = distance_field(register, **kwargs)
                 want = distance_field(stored, **kwargs)
                 assert virtual.labels == want.labels
                 assert np.allclose(virtual.values, want.values, atol=1e-12, equal_nan=True)
         field = distance_field(register, include_boundary=True, boundary_labels=(0, n + 1))
         ent = site_entropies(register)
-        assert field.value(0, n + 1) == 0.0
+        assert value(field, 0, n + 1) == 0.0
         for x in range(1, n + 1):
-            assert field.value(0, x) == field.value(n + 1, x) == ent[x]
+            assert value(field, 0, x) == value(field, n + 1, x) == ent[x]
 
     def test_nearest_neighbor_mode(self):
         field = distance_field(random_state(4), pairs="nearest_neighbor")
         assert computed_pairs(field) == [(0, 1), (1, 2), (2, 3)]
 
     def test_empty_selection_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="'all_pairs' or 'nearest_neighbor'"):
             distance_field(random_state(2), pairs=[])
+
+    @pytest.mark.parametrize("pairs", ["edges", [(0, 1)]])
+    def test_unknown_selection_rejected(self, pairs):
+        with pytest.raises(ValueError, match="'all_pairs' or 'nearest_neighbor'"):
+            distance_field(random_state(2), pairs=pairs)
 
     def test_field_validation(self):
         with pytest.raises(ValueError):
@@ -287,19 +294,13 @@ class TestBatchedKernel:
         state = StateVector(amps / np.linalg.norm(amps), labels)
         boundary = (labels[-1],)
         kept = labels if include_boundary else labels[:-1]
-        # explicit pairs in both register orders
-        explicit = [tuple(int(x) for x in rng.choice(kept, size=2, replace=False))
-                    for _ in range(4)]
-        for pairs in ("all_pairs", "nearest_neighbor", explicit):
+        for pairs in ("all_pairs", "nearest_neighbor"):
             field = distance_field(state, pairs=pairs, include_boundary=include_boundary,
                                    boundary_labels=boundary)
             assert field.labels == kept
-            computed = computed_pairs(field)
-            if pairs is explicit:
-                assert {frozenset(p) for p in computed} == {frozenset(p) for p in explicit}
-            for a, b in computed:
+            for a, b in computed_pairs(field):
                 expect = info_distance(partial_trace(state, {a, b}), {a}, {b})
-                assert abs(field.value(a, b) - expect) <= 1e-12
+                assert abs(value(field, a, b) - expect) <= 1e-12
         ent = site_entropies(state)
         assert list(ent) == list(labels)
         for lab, s in ent.items():
@@ -361,11 +362,15 @@ class TestBlockPass:
             alone = np.concatenate(infogeo._reduced_entropies(state, [g]))
             assert np.array_equal(alone, [s, p], equal_nan=True)
 
-    def test_a_field_of_virtual_pairs_reads_no_block(self):
+    def test_a_field_of_virtual_pairs_reads_no_block(self, monkeypatch):
+        """No group read for a field holds a virtual boundary label."""
+        groups, reduced = [], infogeo._reduced_entropies
+        monkeypatch.setattr(infogeo, "_reduced_entropies",
+                            lambda state, g: groups.extend(g) or reduced(state, g))
         state = basis_state("00000000", labels=range(1, 9))
-        field = distance_field(state, pairs=[(0, 9)], include_boundary=True,
-                               boundary_labels=(0, 9))
-        assert field.value(0, 9) == 0.0 and field.site_entropies == {}
+        field = distance_field(state, include_boundary=True, boundary_labels=(0, 9))
+        assert value(field, 0, 9) == 0.0 and set(field.site_entropies) == set(range(1, 9))
+        assert groups and not any({0, 9} & set(g) for g in groups)
 
     @pytest.mark.parametrize("n", range(4, 13))
     def test_builders_agree_on_every_experiment_snapshot(self, n):
@@ -605,7 +610,7 @@ class TestBlockReport:
                 union_find_block_report(field, seed_site=seed)
 
     def test_requires_all_pairs(self):
-        field = distance_field(random_state(3), pairs=[(0, 1)])
+        field = distance_field(random_state(3), pairs="nearest_neighbor")
         with pytest.raises(ValueError):
             block_structure_report(field)
 

@@ -1,11 +1,13 @@
 """Output digests: every file and stdout of a fixed command set, pinned by sha256.
 
-The commands run in process through `cli.main`.  The manifest,
-`tests/data/outputs.sha256`, holds one `<sha256>  <out dir>/<file>` line
-per output, `<out dir>/stdout` for the printed text, and a first line
-naming the Python and numpy versions it was made with, and the kernel
-core of numpy's OpenBLAS: the written floats depend on it.  A change that
-alters outputs on purpose rewrites it with
+The commands run in process through `cli.main`, and again in a child
+process under each OpenBLAS kernel core in `OTHER_CORES` (x86-64 only).
+The manifest, `tests/data/outputs.sha256`, holds one
+`<sha256>  <out dir>/<file>` line per output, `<out dir>/stdout` for the
+printed text, and a first line naming the Python and numpy versions it
+was made with, and the kernel core of numpy's OpenBLAS: the written
+floats depend on it.  A change that alters outputs on purpose rewrites
+it with
 
     PYTHONPATH=src python -m tests.regen_outputs
 
@@ -17,11 +19,16 @@ import contextlib
 import ctypes
 import hashlib
 import io
+import json
+import os
 import platform
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from qcageom import cli
 
@@ -50,7 +57,7 @@ COMMANDS = (
                             "--psi", "0.6+0.2i,0.3-0.7i", "--include-boundary"]),
     ("distance_matrix_boundary", ["distance-matrix", "--trace", "{root}/ghz/trace.json",
                                   "--step", "2", "--seed-site", "6", "--include-boundary"]),
-    # the benchmark's N, where every pi3 snapshot takes the gathered field builder
+    # the benchmark's N
     ("pi3_14", ["run", "--experiment", "pi3", "--n-sites", "14", "--seed-site", "9",
                 "--steps", "14"]),
 )
@@ -107,14 +114,52 @@ def test_openblas_core_is_unknown_without_the_library(tmp_path, monkeypatch):
     assert openblas_core() == "unknown"
 
 
-def test_outputs_match_the_manifest(tmp_path):
+def check_against_manifest(got: dict[str, str], run_with: str) -> None:
+    """Fail with each changed, missing and new output of a run made with `run_with`."""
     made_with, expected = read_manifest()
-    got = output_digests(tmp_path)
     problems = [f"{kind}: {', '.join(names)}" for kind, names in (
         ("changed", sorted(k for k in expected.keys() & got.keys() if expected[k] != got[k])),
         ("missing", sorted(expected.keys() - got.keys())),
         ("new", sorted(got.keys() - expected.keys())),
     ) if names]
-    if problems and made_with != versions():
-        problems.append(f"the manifest was made with {made_with}, this run uses {versions()}")
+    if problems and made_with != run_with:
+        problems.append(f"the manifest was made with {made_with}, this run uses {run_with}")
     assert not problems, f"outputs differ from {MANIFEST.name}: " + "; ".join(problems)
+
+
+def test_outputs_match_the_manifest(tmp_path):
+    check_against_manifest(output_digests(tmp_path), versions())
+
+
+#: Prints the versions and the output digests of a run into the directory argv[1].
+CHILD = """import json, sys
+from pathlib import Path
+from tests.test_outputs import output_digests, versions
+digests = output_digests(Path(sys.argv[1]))
+print(json.dumps({"versions": versions(), "digests": digests}))
+"""
+
+
+#: Kernel cores besides the manifest's under which the digests must hold.  Under
+#: Sandybridge two pi3 N=14 CSV cells still move, by one unit in the 12th digit.
+OTHER_CORES = ("Haswell", "Prescott")
+
+
+@pytest.mark.parametrize("core", OTHER_CORES)
+def test_outputs_under_another_kernel_match_the_manifest(tmp_path, core):
+    """The written bytes hold when OpenBLAS takes another CPU's kernels.
+
+    `OPENBLAS_CORETYPE` forces the kernel core of the process it starts
+    in, so the commands run in a child process.
+    """
+    if platform.machine() not in ("x86_64", "AMD64") or openblas_core() == "unknown":
+        pytest.skip("OPENBLAS_CORETYPE names x86-64 cores of numpy's bundled OpenBLAS")
+    repo = Path(__file__).resolve().parents[1]
+    package_dir = Path(cli.__file__).resolve().parents[1]  # the package under test
+    env = {**os.environ, "OPENBLAS_CORETYPE": core,
+           "PYTHONPATH": os.pathsep.join([str(package_dir), str(repo)])}
+    child = subprocess.run([sys.executable, "-c", CHILD, str(tmp_path)], cwd=repo, env=env,
+                           capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    run = json.loads(child.stdout)
+    check_against_manifest(run["digests"], run["versions"])

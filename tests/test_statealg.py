@@ -12,7 +12,6 @@ from qcageom.statealg import (
     StateVector,
     apply_unitary,
     basis_state,
-    fidelity,
     norm2,
     partial_trace,
     ppt_separable_2q,
@@ -269,19 +268,6 @@ class TestEigenvaluesAndEntropy:
             sa = von_neumann_entropy(partial_trace(s, keep))
             sb = von_neumann_entropy(partial_trace(s, comp))
             assert sa == pytest.approx(sb, abs=1e-8)
-
-
-class TestFidelity:
-    def test_examples(self):
-        s = random_state(2)
-        assert fidelity(s, s) == pytest.approx(1.0, abs=1e-12)
-        assert fidelity(basis_state("0"), basis_state("1")) == 0.0
-        plus = StateVector(np.array([1, 1], dtype=complex) / math.sqrt(2))
-        assert fidelity(basis_state("0"), plus) == pytest.approx(0.5, abs=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            fidelity(basis_state("0"), basis_state("00"))
 
 
 class TestPPT:
